@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sort"
 	"strings"
@@ -391,4 +392,114 @@ func TestShardDeadlineForwarded(t *testing.T) {
 	if !errors.Is(qerr, mural.ErrQueryTimeout) && !errors.Is(qerr, mural.ErrCanceled) {
 		t.Fatalf("deadline: got %v, want ErrQueryTimeout/ErrCanceled", qerr)
 	}
+}
+
+// TestFloatSumOrderIndependent asserts SUM and AVG over FLOAT are
+// bit-identical for every worker count and shard count. Rows reach the
+// aggregate in Gather arrival and morsel-claim order, and shard streams
+// merge in arrival order, so only an order-independent sum can agree.
+func TestFloatSumOrderIndependent(t *testing.T) {
+	// Ones beside a few 2^53 values: a one added to a running sum that
+	// holds 2^53 rounds away (ties to even), so each summation order, and
+	// each rounded per-shard partial, loses a different number of them.
+	var rows []string
+	for i := 0; i < 3000; i++ {
+		v := 1.0
+		if i%1000 == 0 {
+			v = 1 << 53
+		}
+		rows = append(rows, fmt.Sprintf("(%d, %d, %.1f)", i, i%7, v))
+	}
+	queries := []string{
+		`SELECT sum(val), avg(val) FROM f`,
+		`SELECT grp, sum(val), avg(val) FROM f GROUP BY grp`,
+	}
+	for n := 500; n <= 3000; n += 250 {
+		queries = append(queries, fmt.Sprintf(`SELECT count(*), sum(val) FROM f WHERE id < %d`, n))
+	}
+	answers := func(eng *mural.Engine) [][]string {
+		var out [][]string
+		for _, q := range queries {
+			res, err := eng.Exec(q)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			var keys []string
+			for _, r := range res.Rows {
+				var parts []string
+				for _, v := range r {
+					if v.Kind() == types.KindFloat {
+						parts = append(parts, fmt.Sprintf("%#x", math.Float64bits(v.Float())))
+					} else {
+						parts = append(parts, v.String())
+					}
+				}
+				keys = append(keys, strings.Join(parts, "|"))
+			}
+			sort.Strings(keys)
+			out = append(out, keys)
+		}
+		return out
+	}
+	var want [][]string
+	var shardEngs []*mural.Engine
+	for _, shards := range []int{0, 2} {
+		for _, workers := range []int{1, 2, 4} {
+			name := fmt.Sprintf("shards=%d workers=%d", shards, workers)
+			shardEngs = nil
+			eng := func() *mural.Engine {
+				if shards == 0 {
+					eng, err := mural.Open(mural.Config{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { eng.Close() })
+					return eng
+				}
+				cluster, err := StartShardCluster(shards, fastRetry)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(cluster.Close)
+				for _, p := range cluster.Procs {
+					shardEngs = append(shardEngs, p.Eng)
+				}
+				return cluster.Coord
+			}()
+			mustExecAll(t, eng, `CREATE TABLE f (id INT, grp INT, val FLOAT)`)
+			if err := batchInsert("f", rows, func(q string) error { _, err := eng.Exec(q); return err }); err != nil {
+				t.Fatal(err)
+			}
+			// Fresh statistics let the planner see the table is large enough
+			// for a Gather, on every node that plans.
+			for _, e := range append([]*mural.Engine{eng}, shardEngs...) {
+				mustExecAll(t, e, `ANALYZE`, fmt.Sprintf(`SET workers = %d`, workers))
+			}
+			if workers > 1 || shards > 0 {
+				if res := mustExplain(t, eng, queries[0]); !strings.Contains(res, "Gather") {
+					t.Fatalf("%s: want a Gather so arrival order varies:\n%s", name, res)
+				}
+			}
+			got := answers(eng)
+			if want == nil {
+				want = got
+				continue
+			}
+			for i, q := range queries {
+				if strings.Join(got[i], ";") != strings.Join(want[i], ";") {
+					t.Errorf("%s: %s\n got: %v\nwant: %v", name, q, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// mustExplain returns the plan text of q.
+func mustExplain(t *testing.T, eng *mural.Engine, q string) string {
+	t.Helper()
+	res, err := eng.Exec("EXPLAIN " + q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Plan
 }

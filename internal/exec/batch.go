@@ -8,8 +8,8 @@ import (
 	"github.com/mural-db/mural/internal/types"
 )
 
-// Batch-at-a-time execution. Eligible subtrees (scans, filters, projections,
-// and the fused Ψ/Ω kernels in fuse.go) move rows in pooled ~BatchRows
+// Batch-at-a-time execution. Scans, filters and projections (and the fused
+// Ψ/Ω kernels in fuse.go) move rows in pooled ~BatchRows
 // vectors instead of one interface call per tuple, so the per-row cost of a
 // pipeline collapses to a slice append. Batch containers come from a
 // sync.Pool-backed BatchPool owned by the query (workers of a Gather share
@@ -26,7 +26,7 @@ import (
 // and channel hops over ~a thousand rows, small enough that a batch of
 // typical tuples stays cache- and budget-friendly. It deliberately equals
 // the governance checkpoint interval, so "one cancellation check per batch"
-// is the same cadence the row engine amortizes to.
+// is the same cadence the row operators amortize to.
 const BatchRows = 1024
 
 // Batch is one vector of rows flowing between batch operators.
@@ -118,7 +118,7 @@ func (ev *evaluator) putBatch(b *Batch) {
 // chargeBatch charges a freshly filled batch's rows to the query's memory
 // accountant; the charge rides on the batch until retire. Grow records the
 // charge even when it fails (the caller still putBatches the batch, which
-// releases it), mirroring the row engine's materializing operators.
+// releases it), mirroring the materializing row operators.
 func (ev *evaluator) chargeBatch(b *Batch) error {
 	if ev.res == nil {
 		return nil
@@ -182,50 +182,6 @@ func (a *batchRowIter) Close() error {
 	}
 	return a.src.Close()
 }
-
-// rowBatchIter adapts a row iterator to the batch face: the fallback when a
-// scan's Env has no raw record access (or a striped partition forces row
-// granularity). Each row is a cancellation checkpoint; the final batch may
-// be short, and empty batches are never surfaced.
-type rowBatchIter struct {
-	ev   *evaluator
-	src  TupleIter
-	done bool
-}
-
-func (r *rowBatchIter) NextBatch() (*Batch, error) {
-	if r.done {
-		return nil, nil
-	}
-	b := r.ev.getBatch()
-	for len(b.Rows) < BatchRows {
-		if err := r.ev.tick(); err != nil {
-			r.ev.putBatch(b)
-			return nil, err
-		}
-		t, ok, err := r.src.Next()
-		if err != nil {
-			r.ev.putBatch(b)
-			return nil, err
-		}
-		if !ok {
-			r.done = true
-			break
-		}
-		b.Rows = append(b.Rows, t)
-	}
-	if len(b.Rows) == 0 {
-		r.ev.putBatch(b)
-		return nil, nil
-	}
-	if err := r.ev.chargeBatch(b); err != nil {
-		r.ev.putBatch(b)
-		return nil, err
-	}
-	return b, nil
-}
-
-func (r *rowBatchIter) Close() error { return r.src.Close() }
 
 // vectorFilterIter evaluates a predicate over whole batches, compacting
 // survivors in place — no second buffer, no per-row operator hop. Batches
@@ -304,35 +260,24 @@ func (p *vectorProjectIter) NextBatch() (*Batch, error) {
 
 func (p *vectorProjectIter) Close() error { return p.child.Close() }
 
-// recordSource feeds raw encoded records page-at-a-time to batch scans:
-// either one serial RecordScan or a sequence of them claimed from a shared
-// morselSource (inside a Gather worker).
-type recordSource interface {
-	nextPage(fn func(rec []byte) error) (bool, error)
-	Close() error
-}
-
-// serialRecordSource wraps a single whole-table RecordScan.
-type serialRecordSource struct {
-	scan RecordScan
-}
-
-func (s *serialRecordSource) nextPage(fn func(rec []byte) error) (bool, error) {
-	return s.scan.NextPage(fn)
-}
-
-func (s *serialRecordSource) Close() error { return s.scan.Close() }
-
-// morselRecordSource claims page ranges from the shared morsel cursor and
-// streams each claim's pages: the batch engine's face of a parallel scan.
+// morselRecordSource is one Gather worker's RecordScan of a parallel scan:
+// it claims page ranges from the shared morsel cursor and streams each
+// claim's pages.
 type morselRecordSource struct {
-	env RecordScanner
+	env Env
+	ev  *evaluator
 	src *morselSource
 	cur RecordScan
 }
 
-func (m *morselRecordSource) nextPage(fn func(rec []byte) error) (bool, error) {
+func (m *morselRecordSource) NextPage(fn func(rec []byte) error) (bool, error) {
 	for {
+		// A worker can claim through many pages that hand the consumer no
+		// record (empty or fully deleted ones), so the claim loop checkpoints
+		// cancellation itself.
+		if err := m.ev.tick(); err != nil {
+			return false, err
+		}
 		if m.cur == nil {
 			lo, hi, ok := m.src.claim()
 			if !ok {
@@ -368,33 +313,50 @@ func (m *morselRecordSource) Close() error {
 	return err
 }
 
-// recordSourceFor builds the page-at-a-time record feed for a scan node, or
-// ok=false when the Env has no raw record access or the morsel source fell
-// back to row striping (table too small for page-granularity partitioning).
-func recordSourceFor(env Env, ev *evaluator, n *plan.Node) (recordSource, bool, error) {
-	rs, ok := env.(RecordScanner)
-	if !ok {
-		return nil, false, nil
+// stripedRecordSource is one Gather worker's RecordScan of a table too
+// small for page-granularity morsels: the worker reads every page but hands
+// on only the records whose ordinal matches its id modulo the worker count,
+// before any decode, so fused kernels run on striped scans too.
+type stripedRecordSource struct {
+	scan     RecordScan
+	ev       *evaluator
+	idx, mod int64
+	n        int64
+	fn       func(rec []byte) error
+	// keep is stripe bound once, so paging allocates no method value.
+	keep func(rec []byte) error
+}
+
+func (s *stripedRecordSource) NextPage(fn func(rec []byte) error) (bool, error) {
+	s.fn = fn
+	return s.scan.NextPage(s.keep)
+}
+
+// stripe forwards this worker's records. The withheld ones never reach the
+// consumer's per-record checkpoint, so they tick here: a worker skips
+// mod-1 of every mod records.
+func (s *stripedRecordSource) stripe(rec []byte) error {
+	mine := s.n%s.mod == s.idx
+	s.n++
+	if mine {
+		return s.fn(rec)
 	}
+	return s.ev.tick()
+}
+
+func (s *stripedRecordSource) Close() error { return s.scan.Close() }
+
+// recordSourceFor opens the page-at-a-time record feed for a scan node:
+// this worker's share inside a Gather, the whole table otherwise.
+func recordSourceFor(env Env, ev *evaluator, n *plan.Node) (RecordScan, error) {
 	if n.Parallel && ev.par != nil {
-		src, err := ev.par.morselsFor(env, n)
-		if err != nil {
-			return nil, false, err
-		}
-		if src.striped {
-			return nil, false, nil
-		}
-		return &morselRecordSource{env: rs, src: src}, true, nil
+		return ev.par.recordSource(env, ev, n)
 	}
 	np, err := env.TablePages(n.Table)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	scan, err := rs.ScanRecords(n.Table, 0, np)
-	if err != nil {
-		return nil, false, err
-	}
-	return &serialRecordSource{scan: scan}, true, nil
+	return env.ScanRecords(n.Table, 0, np)
 }
 
 // batchScanIter fills batches straight from heap pages: decode every live
@@ -403,7 +365,7 @@ func recordSourceFor(env Env, ev *evaluator, n *plan.Node) (recordSource, bool, 
 // split across a pin boundary.
 type batchScanIter struct {
 	ev   *evaluator
-	src  recordSource
+	src  RecordScan
 	done bool
 }
 
@@ -424,7 +386,7 @@ func (s *batchScanIter) NextBatch() (*Batch, error) {
 		return nil
 	}
 	for len(b.Rows) < BatchRows {
-		more, err := s.src.nextPage(perRec)
+		more, err := s.src.NextPage(perRec)
 		if err != nil {
 			s.ev.putBatch(b)
 			return nil, err
@@ -447,46 +409,34 @@ func (s *batchScanIter) NextBatch() (*Batch, error) {
 
 func (s *batchScanIter) Close() error { return s.src.Close() }
 
-// buildVec attempts a batch-at-a-time pipeline for the subtree rooted at n.
-// ok=false (with nil error) means this subtree has no vectorized form; the
-// caller falls back to the row engine. Instrumentation happens here at
-// batch granularity (wrapVec / the fused iterator's own buckets), so build
-// must not re-wrap what buildVec returns.
+// buildVec builds the batch pipeline for the subtree rooted at n: scans,
+// filters and projections over them. ok=false (with nil error) means the
+// subtree has no batch form and build falls back to a row operator.
+// Instrumentation happens here at batch granularity (wrapVec / the fused
+// iterator's own buckets), so build must not re-wrap what buildVec returns.
 func buildVec(env Env, ev *evaluator, n *plan.Node) (BatchIter, bool, error) {
 	switch n.Op {
 	case plan.OpSeqScan:
-		src, ok, err := recordSourceFor(env, ev, n)
+		src, err := recordSourceFor(env, ev, n)
 		if err != nil {
 			return nil, false, err
 		}
-		var bi BatchIter
-		if ok {
-			bi = &batchScanIter{ev: ev, src: src}
-		} else {
-			it, err := buildRowScan(env, ev, n)
-			if err != nil {
-				return nil, false, err
-			}
-			bi = &rowBatchIter{ev: ev, src: unwrapGov(it)}
-		}
-		return ev.wrapVec(n, bi), true, nil
+		return ev.wrapVec(n, &batchScanIter{ev: ev, src: src}), true, nil
 	case plan.OpFilter:
 		child := n.Children[0]
-		if ev.fuse && child.Op == plan.OpSeqScan {
+		if child.Op == plan.OpSeqScan {
 			if kern := ev.compileFused(n.Cond); kern != nil {
-				src, ok, err := recordSourceFor(env, ev, child)
+				src, err := recordSourceFor(env, ev, child)
 				if err != nil {
 					return nil, false, err
 				}
-				if ok {
-					f := &fusedScanIter{ev: ev, src: src, kern: kern}
-					if ev.collector != nil {
-						f.scanSt = ev.collector.Stats(child)
-						f.filtSt = ev.collector.Stats(n)
-						f.timed = ev.collector.Timed()
-					}
-					return f, true, nil
+				f := &fusedScanIter{ev: ev, src: src, kern: kern}
+				if ev.collector != nil {
+					f.scanSt = ev.collector.Stats(child)
+					f.filtSt = ev.collector.Stats(n)
+					f.timed = ev.collector.Timed()
 				}
+				return f, true, nil
 			}
 		}
 		cb, ok, err := buildVec(env, ev, child)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"testing"
 
 	"github.com/mural-db/mural/internal/leakcheck"
@@ -13,78 +12,6 @@ import (
 	"github.com/mural-db/mural/internal/types"
 	"github.com/mural-db/mural/internal/wordnet"
 )
-
-// recordMockEnv extends mockEnv with RecordScanner: tuples are pre-encoded
-// into fake pages of mockPageRows records, so the vectorized and fused scan
-// paths run against the same tables the row tests use. Pages are encoded
-// once per table (like a real heap) so allocation tests see only the
-// executor's own allocations.
-type recordMockEnv struct {
-	*mockEnv
-	mu    sync.Mutex
-	pages map[string][][][]byte
-}
-
-func newRecordMockEnv(m *mockEnv) *recordMockEnv {
-	return &recordMockEnv{mockEnv: m, pages: map[string][][][]byte{}}
-}
-
-func (m *recordMockEnv) pagesFor(table string) [][][]byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if p, ok := m.pages[table]; ok {
-		return p
-	}
-	rows := m.tables[table]
-	var pages [][][]byte
-	for start := 0; start < len(rows); start += mockPageRows {
-		end := start + mockPageRows
-		if end > len(rows) {
-			end = len(rows)
-		}
-		var page [][]byte
-		for _, t := range rows[start:end] {
-			page = append(page, types.EncodeTuple(t))
-		}
-		pages = append(pages, page)
-	}
-	m.pages[table] = pages
-	return pages
-}
-
-type mockRecordScan struct {
-	pages [][][]byte
-	pos   int
-}
-
-func (s *mockRecordScan) NextPage(fn func(rec []byte) error) (bool, error) {
-	if s.pos >= len(s.pages) {
-		return false, nil
-	}
-	for _, rec := range s.pages[s.pos] {
-		if err := fn(rec); err != nil {
-			return true, err
-		}
-	}
-	s.pos++
-	return true, nil
-}
-
-func (s *mockRecordScan) Close() error { return nil }
-
-func (m *recordMockEnv) ScanRecords(table string, lo, hi int64) (RecordScan, error) {
-	if _, ok := m.tables[table]; !ok {
-		return nil, fmt.Errorf("mock: no table %q", table)
-	}
-	pages := m.pagesFor(table)
-	if lo > int64(len(pages)) {
-		lo = int64(len(pages))
-	}
-	if hi > int64(len(pages)) {
-		hi = int64(len(pages))
-	}
-	return &mockRecordScan{pages: pages[lo:hi]}, nil
-}
 
 // tupleStrings renders result rows for order-insensitive comparison.
 func tupleStrings(rows []types.Tuple) []string {
@@ -95,12 +22,12 @@ func tupleStrings(rows []types.Tuple) []string {
 	return out
 }
 
-// drainTuned runs a plan under the given options and returns rows plus the
-// collectors, failing the test on any error.
-func drainTuned(t *testing.T, env Env, node *plan.Node, res *Resources, opts RunOptions) ([]types.Tuple, *RunStats, *ExecStats) {
+// drain runs a plan and returns rows plus the collectors, failing the test
+// on any error.
+func drain(t *testing.T, env Env, node *plan.Node, res *Resources) ([]types.Tuple, *RunStats, *ExecStats) {
 	t.Helper()
 	es := NewCountStats()
-	cur, err := RunTuned(env, node, es, res, opts)
+	cur, err := Run(env, node, es, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,56 +38,106 @@ func drainTuned(t *testing.T, env Env, node *plan.Node, res *Resources, opts Run
 	return rows, cur.Stats, es
 }
 
-// The vectorized and fused engines must produce exactly the row engine's
-// results, operator statistics, and Ψ evaluation counts across batch
-// boundary shapes: empty tables, single rows, one-short-of-a-batch, exactly
-// one batch, one over, and multi-batch.
+// referenceFilter evaluates cond row by row over a mock table with the
+// exported Evaluator: the answer and statement counters every batch path
+// must reproduce.
+func referenceFilter(t *testing.T, env *mockEnv, table string, cond plan.Expr) ([]types.Tuple, *RunStats) {
+	t.Helper()
+	ev := NewEvaluator(env)
+	var out []types.Tuple
+	for _, row := range env.tables[table] {
+		ok, err := ev.EvalBool(cond, row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			out = append(out, row)
+		}
+	}
+	return out, ev.inner.stats
+}
+
+// overIdentityProject rebuilds filter as Filter over an identity Project
+// over the same scan: the Filter's child is no longer a SeqScan, so the plan
+// runs the generic batch filter instead of the fused kernel.
+func overIdentityProject(filter *plan.Node) *plan.Node {
+	scan := filter.Children[0]
+	projs := make([]plan.Expr, len(scan.Cols))
+	for i, c := range scan.Cols {
+		projs[i] = &plan.ColIdx{Idx: i, Kind: c.Kind}
+	}
+	project := &plan.Node{Op: plan.OpProject, Children: []*plan.Node{scan}, Cols: scan.Cols, Projs: projs}
+	return &plan.Node{Op: plan.OpFilter, Children: []*plan.Node{project}, Cols: filter.Cols, Cond: filter.Cond}
+}
+
+// checkFusedParity runs a Filter-over-SeqScan plan through the fused kernel
+// and, reshaped, through the generic batch filter, and checks both against
+// the row-by-row reference: same rows in table order, same Ψ evaluations
+// and Ω probes, and the same scan and filter statistics.
+func checkFusedParity(t *testing.T, env *mockEnv, fused *plan.Node) []types.Tuple {
+	t.Helper()
+	want, wantStats := referenceFilter(t, env, fused.Children[0].Table, fused.Cond)
+	generic := overIdentityProject(fused)
+	fusedRows, fusedStats, fusedES := drain(t, env, fused, nil)
+	genRows, genStats, genES := drain(t, env, generic, nil)
+	for _, got := range []struct {
+		name  string
+		rows  []types.Tuple
+		stats *RunStats
+	}{{"fused", fusedRows, fusedStats}, {"generic", genRows, genStats}} {
+		if fmt.Sprint(tupleStrings(got.rows)) != fmt.Sprint(tupleStrings(want)) {
+			t.Errorf("%s: rows diverge from the reference: got %d want %d", got.name, len(got.rows), len(want))
+		}
+		if got.stats.PsiEvaluations != wantStats.PsiEvaluations || got.stats.OmegaProbes != wantStats.OmegaProbes {
+			t.Errorf("%s: Ψ evals / Ω probes = %d/%d, want %d/%d", got.name,
+				got.stats.PsiEvaluations, got.stats.OmegaProbes, wantStats.PsiEvaluations, wantStats.OmegaProbes)
+		}
+	}
+	n := int64(len(env.tables[fused.Children[0].Table]))
+	for _, pair := range [][2]*plan.Node{{fused.Children[0], generic.Children[0].Children[0]}, {fused, generic}} {
+		f, _ := fusedES.Actual(pair[0])
+		g, _ := genES.Actual(pair[1])
+		if f.Rows != g.Rows || f.Nexts != g.Nexts || f.Loops != g.Loops {
+			t.Errorf("node %s: fused stats = %+v, generic = %+v", pair[0].Op, f, g)
+		}
+	}
+	if s, _ := fusedES.Actual(fused.Children[0]); s.Rows != n || s.Nexts != n+1 {
+		t.Errorf("scan stats = %+v, want rows=%d nexts=%d", s, n, n+1)
+	}
+	if f, _ := fusedES.Actual(fused); f.Rows != int64(len(want)) || f.Nexts != int64(len(want))+1 {
+		t.Errorf("filter stats = %+v, want rows=%d nexts=%d", f, len(want), len(want)+1)
+	}
+	return want
+}
+
+// The fused kernel and the generic batch filter must both produce the
+// row-by-row reference's results, operator statistics and Ψ evaluation
+// counts across batch boundary shapes: empty tables, single rows,
+// one-short-of-a-batch, exactly one batch, one over, and multi-batch.
 func TestVectorizedParityAcrossSizes(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 1023, 1024, 1025, 2500} {
 		t.Run(fmt.Sprintf("rows=%d", n), func(t *testing.T) {
-			env := newRecordMockEnv(newMockEnv())
-			mkUniTable(env.mockEnv, "t", n)
-			node := psiFilterScan("t", false)
-			scan := node.Children[0]
-
-			wantRows, wantStats, wantES := drainTuned(t, env, node, nil, RunOptions{})
-			for _, opts := range []RunOptions{
-				{Vectorize: true},
-				{Vectorize: true, Fuse: true},
-			} {
-				gotRows, gotStats, gotES := drainTuned(t, env, node, nil, opts)
-				if fmt.Sprint(tupleStrings(gotRows)) != fmt.Sprint(tupleStrings(wantRows)) {
-					t.Errorf("opts %+v: rows diverge: got %d want %d", opts, len(gotRows), len(wantRows))
-				}
-				if gotStats.PsiEvaluations != wantStats.PsiEvaluations {
-					t.Errorf("opts %+v: PsiEvaluations = %d, want %d", opts, gotStats.PsiEvaluations, wantStats.PsiEvaluations)
-				}
-				for _, nd := range []*plan.Node{scan, node} {
-					want, _ := wantES.Actual(nd)
-					got, _ := gotES.Actual(nd)
-					if got.Rows != want.Rows || got.Nexts != want.Nexts || got.Loops != want.Loops {
-						t.Errorf("opts %+v: node %s stats = %+v, want %+v", opts, nd.Op, got, want)
-					}
-				}
-			}
+			env := newMockEnv()
+			mkUniTable(env, "t", n)
+			checkFusedParity(t, env, psiFilterScan("t", false))
 		})
 	}
 }
 
-// A projection over a filtered scan runs through vectorProjectIter; results
-// must match the row engine.
+// A projection over a fused filter runs through vectorProjectIter; results
+// must match the reference.
 func TestVectorizedProjectParity(t *testing.T) {
-	env := newRecordMockEnv(newMockEnv())
-	mkUniTable(env.mockEnv, "t", 3000)
+	env := newMockEnv()
+	mkUniTable(env, "t", 3000)
 	filter := psiFilterScan("t", false)
+	want, _ := referenceFilter(t, env, "t", filter.Cond)
 	node := &plan.Node{
 		Op:       plan.OpProject,
 		Children: []*plan.Node{filter},
 		Cols:     []plan.ColInfo{{Name: "n", Kind: types.KindUniText}},
 		Projs:    []plan.Expr{&plan.ColIdx{Idx: 0, Kind: types.KindUniText}},
 	}
-	want, _, _ := drainTuned(t, env, node, nil, RunOptions{})
-	got, _, _ := drainTuned(t, env, node, nil, DefaultRunOptions())
+	got, _, _ := drain(t, env, node, nil)
 	if fmt.Sprint(tupleStrings(got)) != fmt.Sprint(tupleStrings(want)) {
 		t.Errorf("projected rows diverge: got %d want %d", len(got), len(want))
 	}
@@ -169,13 +146,13 @@ func TestVectorizedProjectParity(t *testing.T) {
 	}
 }
 
-// The fused Ω kernel must reproduce the row evaluator's matches and probe
-// counts.
+// The fused Ω kernel must reproduce the reference's matches and probe
+// counts, as must the generic batch filter.
 func TestFusedOmegaScanParity(t *testing.T) {
 	net := wordnet.Generate(wordnet.Config{Synsets: 2000, Seed: 9})
-	env := newRecordMockEnv(newMockEnv())
-	env.mockEnv.matcher = wordnet.NewMatcher(net)
-	env.mockEnv.tables["cat"] = []types.Tuple{
+	env := newMockEnv()
+	env.matcher = wordnet.NewMatcher(net)
+	env.tables["cat"] = []types.Tuple{
 		{u("historiography", types.LangEnglish)},
 		{u("physics", types.LangEnglish)},
 		{u("history", types.LangEnglish)},
@@ -187,29 +164,20 @@ func TestFusedOmegaScanParity(t *testing.T) {
 		Cols:     cols,
 		Cond:     &plan.Omega{L: &plan.ColIdx{Idx: 0}, R: &plan.Const{Val: u("history", types.LangEnglish)}},
 	}
-	want, wantStats, _ := drainTuned(t, env, node, nil, RunOptions{})
-	got, gotStats, _ := drainTuned(t, env, node, nil, DefaultRunOptions())
-	if fmt.Sprint(tupleStrings(got)) != fmt.Sprint(tupleStrings(want)) {
-		t.Errorf("Ω rows diverge: got %v want %v", tupleStrings(got), tupleStrings(want))
-	}
-	if gotStats.OmegaProbes != wantStats.OmegaProbes {
-		t.Errorf("OmegaProbes = %d, want %d", gotStats.OmegaProbes, wantStats.OmegaProbes)
-	}
-	if len(want) == 0 {
+	if want := checkFusedParity(t, env, node); len(want) == 0 {
 		t.Fatal("test expects Ω survivors")
 	}
 }
 
-// Canceling a vectorized query mid-batch must surface ErrCanceled and leave
-// every pooled batch recycled.
+// Canceling a query mid-batch must surface ErrCanceled and leave every
+// pooled batch recycled.
 func TestBatchCancellationMidBatch(t *testing.T) {
-	env := newRecordMockEnv(newMockEnv())
-	mkUniTable(env.mockEnv, "t", 20000)
+	env := newMockEnv()
+	mkUniTable(env, "t", 20000)
 	node := psiFilterScan("t", false)
-	pool := NewBatchPool()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cur, err := RunTuned(env, node, nil, NewResources(ctx, 0), RunOptions{Vectorize: true, Fuse: true, Pool: pool})
+	cur, err := Run(env, node, nil, NewResources(ctx, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +202,7 @@ func TestBatchCancellationMidBatch(t *testing.T) {
 	if err := cur.Close(); err != nil {
 		t.Fatalf("Close after cancel: %v", err)
 	}
-	if n := pool.InFlight(); n != 0 {
+	if n := cur.pool.InFlight(); n != 0 {
 		t.Errorf("pool in-flight after canceled query = %d, want 0", n)
 	}
 }
@@ -249,18 +217,26 @@ func gatherPsiPlan(workers int) *plan.Node {
 	}
 }
 
-// A vectorized Gather must produce the row engine's result multiset and
-// sum worker loops, with every pooled batch back in the pool afterward.
+// A Gather over the fused kernel must produce the reference's result
+// multiset and sum worker loops, with every pooled batch back in the pool
+// afterward.
 func TestVectorizedGatherParity(t *testing.T) {
 	leakcheck.Check(t)
-	env := newRecordMockEnv(newMockEnv())
-	mkUniTable(env.mockEnv, "t", 5000)
+	env := newMockEnv()
+	mkUniTable(env, "t", 5000)
 	node := gatherPsiPlan(4)
 	scan := node.Children[0].Children[0]
 
-	want, wantStats, _ := drainTuned(t, env, node, nil, RunOptions{})
-	pool := NewBatchPool()
-	got, gotStats, gotES := drainTuned(t, env, node, nil, RunOptions{Vectorize: true, Fuse: true, Pool: pool})
+	want, wantStats := referenceFilter(t, env, "t", node.Children[0].Cond)
+	es := NewCountStats()
+	cur, err := Run(env, node, es, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := cur.All()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	ws, gs := tupleStrings(want), tupleStrings(got)
 	sort.Strings(ws)
@@ -268,28 +244,26 @@ func TestVectorizedGatherParity(t *testing.T) {
 	if fmt.Sprint(gs) != fmt.Sprint(ws) {
 		t.Errorf("gather rows diverge: got %d want %d", len(gs), len(ws))
 	}
-	if gotStats.PsiEvaluations != wantStats.PsiEvaluations {
-		t.Errorf("PsiEvaluations = %d, want %d", gotStats.PsiEvaluations, wantStats.PsiEvaluations)
+	if cur.Stats.PsiEvaluations != wantStats.PsiEvaluations {
+		t.Errorf("PsiEvaluations = %d, want %d", cur.Stats.PsiEvaluations, wantStats.PsiEvaluations)
 	}
-	if st, ok := gotES.Actual(scan); !ok || st.Loops != 4 {
+	if st, ok := es.Actual(scan); !ok || st.Loops != 4 {
 		t.Errorf("parallel scan loops = %+v (ok=%v), want 4 workers", st, ok)
 	}
-	if n := pool.InFlight(); n != 0 {
+	if n := cur.pool.InFlight(); n != 0 {
 		t.Errorf("pool in-flight after gather drain = %d, want 0", n)
 	}
 }
 
-// Closing a vectorized Gather early must return the in-flight batches —
-// those queued on the merge channel and the one being consumed — to the
-// pool, and stop every worker.
+// Closing a Gather early must return the in-flight batches — those queued
+// on the merge channel and the one being consumed — to the pool, and stop
+// every worker.
 func TestGatherEarlyCloseReturnsBatchesToPool(t *testing.T) {
 	leakcheck.Check(t)
-	env := newRecordMockEnv(newMockEnv())
-	mkUniTable(env.mockEnv, "t", 20000)
+	env := newMockEnv()
+	mkUniTable(env, "t", 20000)
 	node := gatherPsiPlan(4)
-	pool := NewBatchPool()
-	cur, err := RunTuned(env, node, nil, NewResources(context.Background(), 0),
-		RunOptions{Vectorize: true, Fuse: true, Pool: pool})
+	cur, err := Run(env, node, nil, NewResources(context.Background(), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,24 +275,30 @@ func TestGatherEarlyCloseReturnsBatchesToPool(t *testing.T) {
 	if err := cur.Close(); err != nil {
 		t.Fatalf("early Close: %v", err)
 	}
-	if n := pool.InFlight(); n != 0 {
+	if n := cur.pool.InFlight(); n != 0 {
 		t.Errorf("pool in-flight after early Close = %d, want 0", n)
 	}
 }
 
-// A fully drained vectorized query must leave the pool empty and the memory
-// accountant settled.
+// A fully drained query must leave the pool empty and the memory accountant
+// settled.
 func TestVectorizedDrainSettlesPoolAndMemory(t *testing.T) {
-	env := newRecordMockEnv(newMockEnv())
-	mkUniTable(env.mockEnv, "t", 4000)
+	env := newMockEnv()
+	mkUniTable(env, "t", 4000)
 	node := psiFilterScan("t", false)
-	pool := NewBatchPool()
 	res := NewResources(context.Background(), 0)
-	rows, _, _ := drainTuned(t, env, node, res, RunOptions{Vectorize: true, Fuse: true, Pool: pool})
+	cur, err := Run(env, node, nil, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := cur.All()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) == 0 {
 		t.Fatal("test expects survivors")
 	}
-	if n := pool.InFlight(); n != 0 {
+	if n := cur.pool.InFlight(); n != 0 {
 		t.Errorf("pool in-flight after drain = %d, want 0", n)
 	}
 	if b := res.MemBytes(); b != 0 {
@@ -334,9 +314,9 @@ func TestVectorizedDrainSettlesPoolAndMemory(t *testing.T) {
 // budget (pipeline construction plus one pooled batch), pinning the
 // zero-alloc reject path.
 func TestFusedPsiScanSteadyStateAllocs(t *testing.T) {
-	env := newRecordMockEnv(newMockEnv())
+	env := newMockEnv()
 	const n = 4096
-	mkUniTable(env.mockEnv, "t", n)
+	mkUniTable(env, "t", n)
 	env.pagesFor("t")
 	cols := []plan.ColInfo{{Rel: "t", Name: "n", Kind: types.KindUniText}}
 	scan := scanNode("t", cols)
@@ -347,10 +327,8 @@ func TestFusedPsiScanSteadyStateAllocs(t *testing.T) {
 		// No stored name is within distance 0 of this probe: zero survivors.
 		Cond: &plan.Psi{L: &plan.ColIdx{Idx: 0}, R: &plan.Const{Val: types.NewText("zzzzzzzz")}},
 	}
-	pool := NewBatchPool()
-	opts := RunOptions{Vectorize: true, Fuse: true, Pool: pool}
 	run := func() {
-		cur, err := RunTuned(env, node, nil, nil, opts)
+		cur, err := Run(env, node, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +340,7 @@ func TestFusedPsiScanSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("expected zero survivors, got %d", len(rows))
 		}
 	}
-	run() // warm the pool and the G2P caches
+	run() // warm the G2P caches
 	allocs := testing.AllocsPerRun(20, run)
 	if allocs > 100 {
 		t.Errorf("fused Ψ scan allocated %.0f times for %d rows; want a small constant (allocs/row ~0)", allocs, n)

@@ -21,18 +21,29 @@ func (t *trackIter) Close() error {
 	return t.closeErr
 }
 
-// closeTrackEnv wraps mockEnv so every ScanTable iterator is tracked.
-type closeTrackEnv struct {
-	*mockEnv
-	tracked []*trackIter
+// trackScan wraps a record scan and records its Close.
+type trackScan struct {
+	RecordScan
+	closed bool
 }
 
-func (e *closeTrackEnv) ScanTable(table string) (TupleIter, error) {
-	it, err := e.mockEnv.ScanTable(table)
+func (t *trackScan) Close() error {
+	t.closed = true
+	return t.RecordScan.Close()
+}
+
+// closeTrackEnv wraps mockEnv so every record scan it opens is tracked.
+type closeTrackEnv struct {
+	*mockEnv
+	tracked []*trackScan
+}
+
+func (e *closeTrackEnv) ScanRecords(table string, lo, hi int64) (RecordScan, error) {
+	rs, err := e.mockEnv.ScanRecords(table, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	t := &trackIter{TupleIter: it}
+	t := &trackScan{RecordScan: rs}
 	e.tracked = append(e.tracked, t)
 	return t, nil
 }
@@ -53,15 +64,15 @@ func TestJoinBuildersCloseLeftOnRightFailure(t *testing.T) {
 				{Op: plan.OpSeqScan, Table: "r"},
 			},
 		}
-		ev := &evaluator{env: env, stats: &RunStats{}}
+		ev := newEvaluator(env, nil, nil)
 		if _, err := build(env, ev, n); err == nil {
 			t.Fatalf("%s: expected build error for missing right table", op)
 		}
 		if len(env.tracked) != 1 {
-			t.Fatalf("%s: expected exactly one live child iterator, got %d", op, len(env.tracked))
+			t.Fatalf("%s: expected exactly one live child scan, got %d", op, len(env.tracked))
 		}
 		if !env.tracked[0].closed {
-			t.Errorf("%s: left child iterator leaked when right build failed", op)
+			t.Errorf("%s: left child scan leaked when right build failed", op)
 		}
 	}
 }

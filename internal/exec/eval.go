@@ -28,13 +28,13 @@ type evaluator struct {
 	// amortization counter for the cancellation checkpoint.
 	res   *Resources
 	ticks uint32
-	// vec enables batch-at-a-time execution for eligible subtrees; fuse
-	// additionally compiles Ψ/Ω-filter-over-scan pipelines into single
-	// page-at-a-time loops. pool is the query's shared batch pool (set
-	// whenever vec is; Gather workers share the parent's).
-	vec  bool
-	fuse bool
+	// pool is the query's batch pool; Gather workers share the parent's.
 	pool *BatchPool
+}
+
+// newEvaluator builds a query's root evaluator with a fresh batch pool.
+func newEvaluator(env Env, es *ExecStats, res *Resources) *evaluator {
+	return &evaluator{env: env, stats: &RunStats{}, collector: es, res: res, pool: NewBatchPool()}
 }
 
 // phoneme converts through the per-query memo cache: in a Ψ join, the inner

@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/mural-db/mural/internal/invariant"
@@ -16,6 +17,7 @@ type Cursor struct {
 	Cols   []string
 	Stats  *RunStats
 	it     TupleIter
+	pool   *BatchPool // the query's batch pool, drained to zero after Close
 	closed bool
 }
 
@@ -54,32 +56,40 @@ func (c *Cursor) All() (out []types.Tuple, err error) {
 	}
 }
 
-// Run instantiates the operator tree for a physical plan.
-func Run(env Env, node *plan.Node) (*Cursor, error) {
-	return RunWithStats(env, node, nil)
+// Run instantiates the operator tree for a physical plan. es, when non-nil,
+// collects per-operator statistics (EXPLAIN ANALYZE); res, when non-nil,
+// carries the query's cancellation context and memory accountant. With both
+// nil no instrumentation or governance state is interposed.
+func Run(env Env, node *plan.Node, es *ExecStats, res *Resources) (*Cursor, error) {
+	if err := res.Err(); err != nil {
+		return nil, err
+	}
+	ev := newEvaluator(env, es, res)
+	it, err := build(env, ev, node)
+	if err != nil {
+		return nil, err
+	}
+	cols := node.ColNames
+	if cols == nil {
+		for _, ci := range node.Schema() {
+			cols = append(cols, ci.Name)
+		}
+	}
+	return &Cursor{Cols: cols, Stats: ev.stats, it: it, pool: ev.pool}, nil
 }
 
-// RunWithStats instantiates the operator tree with per-operator statistics
-// collection (EXPLAIN ANALYZE). A nil collector makes this identical to Run:
-// no wrapper iterators are interposed.
-func RunWithStats(env Env, node *plan.Node, es *ExecStats) (*Cursor, error) {
-	return RunGoverned(env, node, es, nil)
-}
-
-// build instantiates one operator and, when a collector is active, wraps it
-// so rows and wall time are attributed to its plan node. Under vectorized
-// execution eligible subtrees compile to a batch pipeline instead; the
-// pipeline carries its own batch-level instrumentation, so its row adapter
-// is returned unwrapped.
+// build instantiates one operator. Scans, filters and projections compile
+// to a batch pipeline (buildVec) that carries its own batch-level
+// instrumentation, so its row adapter is returned unwrapped; every other
+// operator is wrapped, when a collector is active, so rows and wall time
+// are attributed to its plan node.
 func build(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
-	if ev.vec {
-		bi, ok, err := buildVec(env, ev, n)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return &batchRowIter{ev: ev, src: bi}, nil
-		}
+	bi, ok, err := buildVec(env, ev, n)
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		return &batchRowIter{ev: ev, src: bi}, nil
 	}
 	it, err := buildOp(env, ev, n)
 	if err != nil || ev.collector == nil {
@@ -88,23 +98,8 @@ func build(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
 	return ev.collector.wrap(n, it), nil
 }
 
-// buildRowScan builds the row-at-a-time form of a table scan: the morsel (or
-// striped) share inside a Gather worker, the whole table otherwise.
-func buildRowScan(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
-	if n.Parallel && ev.par != nil {
-		return ev.par.scanIter(env, ev, n)
-	}
-	it, err := env.ScanTable(n.Table)
-	if err != nil || ev.res == nil {
-		return it, err
-	}
-	return &govIter{child: it, ev: ev}, nil
-}
-
 func buildOp(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
 	switch n.Op {
-	case plan.OpSeqScan:
-		return buildRowScan(env, ev, n)
 	case plan.OpGather:
 		return buildGather(env, ev, n)
 	case plan.OpRemote:
@@ -116,7 +111,7 @@ func buildOp(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &filterIter{child: unwrapGov(child), cond: n.Cond, ev: ev}, nil
+		return &filterIter{child: child, cond: n.Cond, ev: ev}, nil
 	case plan.OpProject:
 		child, err := build(env, ev, n.Children[0])
 		if err != nil {
@@ -128,7 +123,7 @@ func buildOp(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &materializeIter{child: unwrapGov(child), ev: ev}, nil
+		return &materializeIter{child: child, ev: ev}, nil
 	case plan.OpNLJoin:
 		return buildNLJoin(env, ev, n)
 	case plan.OpHashJoin:
@@ -148,7 +143,7 @@ func buildOp(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &distinctIter{child: unwrapGov(child), ev: ev, seen: make(map[string]bool)}, nil
+		return &distinctIter{child: child, ev: ev, seen: make(map[string]bool)}, nil
 	case plan.OpLimit:
 		child, err := build(env, ev, n.Children[0])
 		if err != nil {
@@ -737,16 +732,88 @@ func buildAggregate(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &aggregateIter{ev: ev, child: unwrapGov(child), node: n}, nil
+	return &aggregateIter{ev: ev, child: child, node: n}, nil
 }
 
 // aggState accumulates one aggregate for one group.
 type aggState struct {
 	count int64
-	sum   float64
+	sum   exactSum
 	min   types.Value
 	max   types.Value
 	any   bool
+}
+
+// exactSum accumulates SUM/AVG without rounding error, so the answer does
+// not depend on the order rows arrive in (Gather arrival order, morsel
+// claims, shard partials). partials is Shewchuk's list of non-overlapping
+// float64 components, in increasing magnitude, whose exact sum is the
+// running total; value rounds that total once. Infinite and NaN inputs
+// (and an overflowing intermediate) collect in special, whose IEEE sum is
+// order-independent too.
+type exactSum struct {
+	partials []float64
+	special  float64
+}
+
+func (s *exactSum) add(x float64) {
+	if math.IsInf(x, 0) || math.IsNaN(x) {
+		s.special += x
+		return
+	}
+	i := 0
+	for _, y := range s.partials {
+		if math.Abs(x) < math.Abs(y) {
+			x, y = y, x
+		}
+		hi := x + y
+		if math.IsInf(hi, 0) {
+			s.special += hi
+			return
+		}
+		lo := y - (hi - x)
+		if lo != 0 {
+			s.partials[i] = lo
+			i++
+		}
+		x = hi
+	}
+	s.partials = append(s.partials[:i], x)
+}
+
+// value is the correctly rounded (half-even) exact sum: the final step of
+// Python's math.fsum.
+func (s *exactSum) value() float64 {
+	if s.special != 0 { // ±Inf or NaN
+		return s.special
+	}
+	p := s.partials
+	n := len(p)
+	if n == 0 {
+		return 0
+	}
+	n--
+	hi := p[n]
+	var lo float64
+	for n > 0 {
+		x := hi
+		n--
+		y := p[n]
+		hi = x + y
+		lo = y - (hi - x)
+		if lo != 0 {
+			break
+		}
+	}
+	// The partials below the break point decide a halfway case.
+	if n > 0 && ((lo < 0 && p[n-1] < 0) || (lo > 0 && p[n-1] > 0)) {
+		y := lo * 2
+		x := hi + y
+		if y == x-hi {
+			hi = x
+		}
+	}
+	return hi
 }
 
 type aggregateIter struct {
@@ -831,7 +898,7 @@ func (a *aggregateIter) compute() error {
 				if k := v.Kind(); k != types.KindInt && k != types.KindFloat {
 					return fmt.Errorf("exec: %s over %s values", spec.Kind, k)
 				}
-				st.sum += v.Float()
+				st.sum.add(v.Float())
 			case sql.FuncMin:
 				if !st.any || types.Compare(v, st.min) < 0 {
 					st.min = v
@@ -865,12 +932,12 @@ func (a *aggregateIter) compute() error {
 				if st.count == 0 {
 					return types.Null()
 				}
-				return types.NewFloat(st.sum)
+				return types.NewFloat(st.sum.value())
 			case sql.FuncAvg:
 				if st.count == 0 {
 					return types.Null()
 				}
-				return types.NewFloat(st.sum / float64(st.count))
+				return types.NewFloat(st.sum.value() / float64(st.count))
 			case sql.FuncMin:
 				if !st.any {
 					return types.Null()
@@ -929,7 +996,7 @@ func buildSort(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &sortIter{ev: ev, child: unwrapGov(child), keys: n.SortKeys, desc: n.SortDesc}, nil
+	return &sortIter{ev: ev, child: child, keys: n.SortKeys, desc: n.SortDesc}, nil
 }
 
 type sortIter struct {

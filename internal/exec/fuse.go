@@ -22,11 +22,10 @@ import (
 // allocations, which is where the batch engine's speedup comes from — Ψ
 // selectivities in the workloads are a few percent.
 //
-// Fusion is strictly an execution-strategy change: the kernels reproduce the
-// row evaluator's semantics bit-for-bit (operand-kind errors, NULL handling,
-// IN-langs admission, statement-statistics counting), and any shape they
-// cannot handle falls back to the generic vectorized — or row — path, which
-// surfaces identical errors.
+// The kernels reproduce the expression evaluator's semantics bit-for-bit
+// (operand-kind errors, NULL handling, IN-langs admission,
+// statement-statistics counting), and any shape they cannot handle runs
+// through the generic batch filter, which surfaces identical errors.
 
 // fusedCond is a compiled predicate evaluated against a raw encoded record.
 type fusedCond interface {
@@ -75,7 +74,7 @@ func (ev *evaluator) compileFusedPsi(x *plan.Psi) fusedCond {
 	pv, err := ev.eval(probeExpr, nil)
 	if err != nil {
 		// Not a constant probe (or an erroring expression): the generic path
-		// evaluates — and errors — exactly as the row engine would.
+		// evaluates — and errors — exactly as the evaluator would.
 		return nil
 	}
 	if pv.IsNull() {
@@ -174,7 +173,7 @@ func (k *psiKernel) matchRec(rec []byte) (bool, error) {
 func (ev *evaluator) compileFusedOmega(x *plan.Omega) fusedCond {
 	m := ev.env.Semantic()
 	if m == nil {
-		// No taxonomy: the generic path raises the row engine's error.
+		// No taxonomy: the generic path raises the evaluator's error.
 		return nil
 	}
 	col, probeExpr, colIsLeft, ok := colAndConst(x.L, x.R)
@@ -255,10 +254,10 @@ func (k *omegaKernel) matchRec(rec []byte) (bool, error) {
 // operator hops. It attributes its measurements to both the scan and the
 // filter plan nodes itself (it IS both operators), so buildVec installs it
 // without a batch-stats wrapper. Full wall time is charged to both buckets,
-// matching the parent-includes-child convention of the row engine.
+// matching the parent-includes-child convention of EXPLAIN ANALYZE.
 type fusedScanIter struct {
 	ev   *evaluator
-	src  recordSource
+	src  RecordScan
 	kern fusedCond
 
 	scanSt     *OpStats
@@ -299,7 +298,7 @@ func (f *fusedScanIter) NextBatch() (*Batch, error) {
 		return nil
 	}
 	for len(b.Rows) < BatchRows {
-		more, err := f.src.nextPage(perRec)
+		more, err := f.src.NextPage(perRec)
 		if err != nil {
 			ferr = err
 			break
@@ -337,7 +336,7 @@ func (f *fusedScanIter) NextBatch() (*Batch, error) {
 }
 
 // countEOS records the final exhausted pull once, keeping the Nexts = Rows+1
-// convention of the row engine's full drain.
+// convention of a full row drain.
 func (f *fusedScanIter) countEOS() {
 	if f.eosCounted || f.scanSt == nil {
 		return

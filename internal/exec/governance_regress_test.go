@@ -20,7 +20,7 @@ func TestGatherGrowFailureReleasesBatchCharge(t *testing.T) {
 	gather := gatherOverScan("t", 2, true)
 	// A 1-byte ceiling fails the first merge-batch Grow in every worker.
 	res := NewResources(context.Background(), 1)
-	cur, err := RunGoverned(env, gather, nil, res)
+	cur, err := Run(env, gather, nil, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,13 +52,32 @@ func governedWorkerEvaluator(env Env, ctx context.Context) *evaluator {
 	return &evaluator{env: env, stats: &RunStats{}, res: NewResources(ctx, 0)}
 }
 
-// A morsel scan over a canceled query must surface ErrCanceled within one
-// tick interval instead of draining the table. Regression test — the claim
-// loop used to run without a cancellation checkpoint.
+// drainSource pulls pages from a record source with a consumer that never
+// checkpoints itself, returning the first error; a source that drains to
+// completion fails the test.
+func drainSource(t *testing.T, src RecordScan, maxPages int) error {
+	t.Helper()
+	defer src.Close()
+	for i := 0; i < maxPages; i++ {
+		more, err := src.NextPage(func([]byte) error { return nil })
+		if err != nil {
+			return err
+		}
+		if !more {
+			t.Fatal("record source drained to completion despite canceled context")
+		}
+	}
+	return nil
+}
+
+// A morsel record source over a canceled query must surface ErrCanceled
+// within one tick interval instead of draining the table, even when its
+// consumer never checkpoints. Regression test — the claim loop used to run
+// without a cancellation checkpoint.
 func TestMorselScanChecksCancellation(t *testing.T) {
 	env := newMockEnv()
-	// Enough rows that the amortized checkpoint (every cancelInterval rows)
-	// fires well before exhaustion.
+	// Enough pages that the amortized checkpoint (every cancelInterval
+	// ticks) fires well before exhaustion.
 	mkIntTable(env, "t", 4*cancelInterval)
 	np, err := env.TablePages("t")
 	if err != nil {
@@ -66,56 +85,37 @@ func TestMorselScanChecksCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	it := &morselScanIter{
+	src := &morselRecordSource{
 		env: env,
 		ev:  governedWorkerEvaluator(env, ctx),
 		src: &morselSource{table: "t", npages: np},
 	}
-	defer it.Close()
-	var lastErr error
-	for i := 0; i < 4*cancelInterval; i++ {
-		_, ok, err := it.Next()
-		if err != nil {
-			lastErr = err
-			break
-		}
-		if !ok {
-			t.Fatal("morsel scan drained to completion despite canceled context")
-		}
-	}
-	if !errors.Is(lastErr, ErrCanceled) {
-		t.Fatalf("morsel scan under canceled context = %v, want ErrCanceled", lastErr)
+	if err := drainSource(t, src, 4*cancelInterval); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("morsel scan under canceled context = %v, want ErrCanceled", err)
 	}
 }
 
-// The striped fallback partition must checkpoint too: a worker can skip
-// through mod-1 of every mod rows without surfacing one, so the checkpoint
-// cannot live only in the consumer loop. Regression test — the stripe loop
-// used to run without a cancellation checkpoint.
+// The striped record source must checkpoint too: a worker withholds mod-1
+// of every mod records from its consumer, so the checkpoint cannot live only
+// in the consumer's per-record loop. Regression test — the stripe loop used
+// to run without a cancellation checkpoint.
 func TestStripedScanChecksCancellation(t *testing.T) {
 	env := newMockEnv()
 	mkIntTable(env, "t", 4*cancelInterval)
-	child, err := env.ScanTable("t")
+	np, err := env.TablePages("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, err := env.ScanRecords("t", 0, np)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	it := &stripedIter{child: child, ev: governedWorkerEvaluator(env, ctx), idx: 0, mod: 4}
-	defer it.Close()
-	var lastErr error
-	for i := 0; i < 4*cancelInterval; i++ {
-		_, ok, err := it.Next()
-		if err != nil {
-			lastErr = err
-			break
-		}
-		if !ok {
-			t.Fatal("striped scan drained to completion despite canceled context")
-		}
-	}
-	if !errors.Is(lastErr, ErrCanceled) {
-		t.Fatalf("striped scan under canceled context = %v, want ErrCanceled", lastErr)
+	src := &stripedRecordSource{scan: scan, ev: governedWorkerEvaluator(env, ctx), idx: 0, mod: 4}
+	src.keep = src.stripe
+	if err := drainSource(t, src, 4*cancelInterval); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("striped scan under canceled context = %v, want ErrCanceled", err)
 	}
 }
 

@@ -17,7 +17,8 @@ import (
 // guarded) buffer pool — so the heap is read exactly once in total. Tables
 // too small for page-granularity morsels fall back to striping: every
 // worker scans the table but keeps only rows whose ordinal matches its
-// worker id, which preserves the exactly-once guarantee at row granularity.
+// worker id, which preserves the exactly-once guarantee at record
+// granularity.
 //
 // Isolation contract: each worker gets its own evaluator — its own RunStats,
 // its own ExecStats collector (when the parent collects), and its own G2P
@@ -93,106 +94,31 @@ func (pc *parallelCtx) morselsFor(env Env, n *plan.Node) (*morselSource, error) 
 	return src, nil
 }
 
-// scanIter builds this worker's share of a parallel table scan. The
-// worker's evaluator threads through so both partition shapes checkpoint
-// cancellation: a worker can spin through many claimed pages (or skip long
-// stripe runs) without ever surfacing a row to a governed parent iterator.
-func (pc *parallelCtx) scanIter(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
+// recordSource builds this worker's share of a parallel table scan:
+// morsels claimed from the shared source, or a stripe of a table too small
+// for them. Both checkpoint cancellation themselves, since a worker can pass
+// many records without handing one to its consumer.
+func (pc *parallelCtx) recordSource(env Env, ev *evaluator, n *plan.Node) (RecordScan, error) {
 	src, err := pc.morselsFor(env, n)
 	if err != nil {
 		return nil, err
 	}
-	if src.striped {
-		child, err := env.ScanTable(n.Table)
-		if err != nil {
-			return nil, err
-		}
-		return &stripedIter{child: child, ev: ev, idx: int64(pc.id), mod: int64(pc.workers)}, nil
+	if !src.striped {
+		return &morselRecordSource{env: env, ev: ev, src: src}, nil
 	}
-	return &morselScanIter{env: env, ev: ev, src: src}, nil
-}
-
-// morselScanIter scans morsels claimed from the shared source until the
-// table is exhausted.
-type morselScanIter struct {
-	env Env
-	ev  *evaluator
-	src *morselSource
-	cur TupleIter
-}
-
-func (m *morselScanIter) Next() (types.Tuple, bool, error) {
-	for {
-		if err := m.ev.tick(); err != nil {
-			return nil, false, err
-		}
-		if m.cur == nil {
-			lo, hi, ok := m.src.claim()
-			if !ok {
-				return nil, false, nil
-			}
-			it, err := m.env.ScanTablePages(m.src.table, lo, hi)
-			if err != nil {
-				return nil, false, err
-			}
-			m.cur = it
-		}
-		t, ok, err := m.cur.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			return t, true, nil
-		}
-		err = m.cur.Close()
-		m.cur = nil
-		if err != nil {
-			return nil, false, err
-		}
+	scan, err := env.ScanRecords(n.Table, 0, src.npages)
+	if err != nil {
+		return nil, err
 	}
+	s := &stripedRecordSource{scan: scan, ev: ev, idx: int64(pc.id), mod: int64(pc.workers)}
+	s.keep = s.stripe
+	return s, nil
 }
-
-func (m *morselScanIter) Close() error {
-	if m.cur == nil {
-		return nil
-	}
-	err := m.cur.Close()
-	m.cur = nil
-	return err
-}
-
-// stripedIter keeps every mod-th row of its child, offset by this worker's
-// id: the row-granularity fallback partition for small tables.
-type stripedIter struct {
-	child TupleIter
-	ev    *evaluator
-	idx   int64
-	mod   int64
-	n     int64
-}
-
-func (s *stripedIter) Next() (types.Tuple, bool, error) {
-	for {
-		if err := s.ev.tick(); err != nil {
-			return nil, false, err
-		}
-		t, ok, err := s.child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		keep := s.n%s.mod == s.idx
-		s.n++
-		if keep {
-			return t, true, nil
-		}
-	}
-}
-
-func (s *stripedIter) Close() error { return s.child.Close() }
 
 // gatherWorker is one worker pipeline plus its isolated measuring state.
-// Exactly one of root/broot is set: vectorized workers drive a batch
-// pipeline and ship whole pooled batches through the merge channel.
+// Exactly one of root/broot is set: a worker whose subtree has a batch form
+// drives it directly and ships whole pooled batches through the merge
+// channel; the rest (Remote streams, sorts, joins) drain rows.
 type gatherWorker struct {
 	root  TupleIter
 	broot BatchIter
@@ -231,13 +157,16 @@ func buildGather(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
 	shared := &gatherShared{sources: make(map[*plan.Node]*morselSource)}
 	g := &gatherIter{parent: ev, res: ev.res, stop: make(chan struct{})}
 	for i := 0; i < w; i++ {
+		// Workers share the query's governance state (it is atomic /
+		// context-based) and batch pool, so a worker's batches flow to the
+		// consumer and back into the shared pool; each keeps its own tick
+		// counter.
 		wev := &evaluator{
 			env:   env,
 			stats: &RunStats{},
 			par:   &parallelCtx{id: i, workers: w, shared: shared},
-			// Workers share the query's governance state (it is atomic /
-			// context-based), but each keeps its own tick counter.
-			res: ev.res,
+			res:   ev.res,
+			pool:  ev.pool,
 		}
 		if ev.collector != nil {
 			if ev.collector.Timed() {
@@ -246,24 +175,15 @@ func buildGather(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
 				wev.collector = NewCountStats()
 			}
 		}
-		// Vectorized workers inherit the parent's strategy and batch pool, so
-		// a worker's batches flow to the consumer and back into the shared
-		// pool. The worker drives the batch pipeline directly — one channel
-		// send per ~BatchRows rows instead of per gatherBatchSize.
-		wev.vec, wev.fuse, wev.pool = ev.vec, ev.fuse, ev.pool
 		child := n.Children[0]
 		if fanout {
 			child = n.Children[i]
 		}
 		w := &gatherWorker{ev: wev}
+		var ok bool
 		var err error
-		if wev.vec {
-			var ok bool
-			w.broot, ok, err = buildVec(env, wev, child)
-			if err == nil && !ok {
-				w.root, err = build(env, wev, child)
-			}
-		} else {
+		w.broot, ok, err = buildVec(env, wev, child)
+		if err == nil && !ok {
 			w.root, err = build(env, wev, child)
 		}
 		if err != nil {
@@ -286,7 +206,7 @@ func buildGather(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
 // gatherBatch is one merged unit: the rows plus their accounted bytes (zero
 // when the query is ungoverned). Bytes stay charged from the producer's
 // Grow until the consumer finishes the batch or the Gather winds down. When
-// a vectorized worker produced it, b is the pooled batch carrying the rows;
+// a batch worker produced it, b is the pooled batch carrying the rows;
 // the consumer recycles it (which also settles the bytes) instead of a bare
 // Release.
 type gatherBatch struct {
@@ -361,7 +281,7 @@ func (g *gatherIter) runWorker(w *gatherWorker) {
 	}
 }
 
-// drainBatches pulls a vectorized worker pipeline to exhaustion, forwarding
+// drainBatches pulls a batch worker pipeline to exhaustion, forwarding
 // whole pooled batches: one send per ~BatchRows rows. The producer already
 // charged each batch's bytes (chargeBatch), so the charge simply rides the
 // channel; a batch that cannot be delivered because the consumer stopped is
@@ -467,6 +387,12 @@ func (g *gatherIter) Next() (types.Tuple, bool, error) {
 		return t, true, nil
 	}
 	g.finishBatch()
+	// Workers checkpoint as they produce, but once they finish, queued
+	// batches would drain unchecked: check once per merged batch.
+	if err := g.res.Err(); err != nil {
+		g.failed = err
+		return nil, false, err
+	}
 	batch, ok := <-g.out
 	if !ok {
 		// All workers done (wg.Wait happened-before the channel close, so

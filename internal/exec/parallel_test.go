@@ -131,7 +131,7 @@ func TestGatherPsiFilterMergesRunStats(t *testing.T) {
 		Cols:     cols,
 		Workers:  4,
 	}
-	cur, err := Run(env, gather)
+	cur, err := Run(env, gather, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestGatherMergesExecStats(t *testing.T) {
 	scan := gather.Children[0]
 
 	es := NewExecStats()
-	cur, err := RunWithStats(env, gather, es)
+	cur, err := Run(env, gather, es, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestGatherEarlyCloseStopsWorkers(t *testing.T) {
 	env := newMockEnv()
 	mkIntTable(env, "big", 4096)
 	checkNoGoroutineLeak(t, func() {
-		cur, err := Run(env, gatherOverScan("big", 4, true))
+		cur, err := Run(env, gatherOverScan("big", 4, true), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestGatherCloseBeforeNext(t *testing.T) {
 	env := &closeTrackEnv{mockEnv: newMockEnv()}
 	mkIntTable(env.mockEnv, "small", 4)
 	checkNoGoroutineLeak(t, func() {
-		cur, err := Run(env, gatherOverScan("small", 3, true))
+		cur, err := Run(env, gatherOverScan("small", 3, true), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,34 +239,30 @@ func TestGatherCloseBeforeNext(t *testing.T) {
 	}
 }
 
-// errAfterIter fails with failErr after emitting n rows.
-type errAfterIter struct {
+// errAfterScan fails with failErr after handing out n records.
+type errAfterScan struct {
 	n       int
 	failErr error
 }
 
-func (e *errAfterIter) Next() (types.Tuple, bool, error) {
+func (e *errAfterScan) NextPage(fn func(rec []byte) error) (bool, error) {
 	if e.n <= 0 {
-		return nil, false, e.failErr
+		return true, e.failErr
 	}
 	e.n--
-	return types.Tuple{types.NewInt(int64(e.n))}, true, nil
+	return true, fn(types.EncodeTuple(types.Tuple{types.NewInt(int64(e.n))}))
 }
 
-func (e *errAfterIter) Close() error { return nil }
+func (e *errAfterScan) Close() error { return nil }
 
-// errScanEnv makes every table scan fail after a few rows.
+// errScanEnv makes every table scan fail after a few records.
 type errScanEnv struct {
 	*mockEnv
 	failErr error
 }
 
-func (e *errScanEnv) ScanTable(string) (TupleIter, error) {
-	return &errAfterIter{n: 2, failErr: e.failErr}, nil
-}
-
-func (e *errScanEnv) ScanTablePages(string, int64, int64) (TupleIter, error) {
-	return &errAfterIter{n: 2, failErr: e.failErr}, nil
+func (e *errScanEnv) ScanRecords(string, int64, int64) (RecordScan, error) {
+	return &errAfterScan{n: 2, failErr: e.failErr}, nil
 }
 
 // A worker's Next error must surface from the Gather exactly once, stay
@@ -276,7 +272,7 @@ func TestGatherWorkerErrorPropagates(t *testing.T) {
 	env := &errScanEnv{mockEnv: newMockEnv(), failErr: scanErr}
 	mkIntTable(env.mockEnv, "t", 64)
 	checkNoGoroutineLeak(t, func() {
-		cur, err := Run(env, gatherOverScan("t", 4, true))
+		cur, err := Run(env, gatherOverScan("t", 4, true), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,25 +301,25 @@ func TestGatherWorkerErrorPropagates(t *testing.T) {
 	})
 }
 
-// failNthScanEnv fails the k-th ScanTable call, tracking earlier iterators
+// failNthScanEnv fails the k-th ScanRecords call, tracking earlier scans
 // so the builder's error path can be checked for leaks.
 type failNthScanEnv struct {
 	*mockEnv
-	tracked []*trackIter
+	tracked []*trackScan
 	calls   int
 	failOn  int
 }
 
-func (e *failNthScanEnv) ScanTable(table string) (TupleIter, error) {
+func (e *failNthScanEnv) ScanRecords(table string, lo, hi int64) (RecordScan, error) {
 	e.calls++
 	if e.calls == e.failOn {
 		return nil, fmt.Errorf("scan %d refused", e.calls)
 	}
-	it, err := e.mockEnv.ScanTable(table)
+	rs, err := e.mockEnv.ScanRecords(table, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	tr := &trackIter{TupleIter: it}
+	tr := &trackScan{RecordScan: rs}
 	e.tracked = append(e.tracked, tr)
 	return tr, nil
 }
@@ -332,14 +328,14 @@ func (e *failNthScanEnv) ScanTable(table string) (TupleIter, error) {
 // close every root built before it.
 func TestGatherBuilderClosesEarlierWorkersOnError(t *testing.T) {
 	env := &failNthScanEnv{mockEnv: newMockEnv(), failOn: 3}
-	mkIntTable(env.mockEnv, "small", 4) // 2 pages: striped, one ScanTable per worker
-	ev := &evaluator{env: env, stats: &RunStats{}}
+	mkIntTable(env.mockEnv, "small", 4) // 2 pages: striped, one whole-table scan per worker
+	ev := newEvaluator(env, nil, nil)
 	n := gatherOverScan("small", 4, true)
 	if _, err := build(env, ev, n); err == nil {
 		t.Fatal("expected build error from the refused scan")
 	}
 	if len(env.tracked) != 2 {
-		t.Fatalf("live iterators before failure = %d, want 2", len(env.tracked))
+		t.Fatalf("live scans before failure = %d, want 2", len(env.tracked))
 	}
 	for i, tr := range env.tracked {
 		if !tr.closed {
@@ -359,7 +355,7 @@ func TestNestedGatherRejected(t *testing.T) {
 		Cols:     inner.Cols,
 		Workers:  2,
 	}
-	if _, err := Run(env, outer); err == nil {
+	if _, err := Run(env, outer, nil, nil); err == nil {
 		t.Fatal("nested Gather must fail to build")
 	}
 }

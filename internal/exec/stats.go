@@ -141,7 +141,7 @@ func (es *ExecStats) wrap(n *plan.Node, it TupleIter) TupleIter {
 }
 
 // wrapBatch is wrap for batch operators: per-batch instrumentation keeps
-// the row engine's reporting conventions (Rows = tuples emitted, Nexts =
+// the row operators' reporting conventions (Rows = tuples emitted, Nexts =
 // Rows plus one exhausted pull on a full drain) at one wrapper call per
 // ~BatchRows rows instead of one per row.
 func (es *ExecStats) wrapBatch(n *plan.Node, it BatchIter) BatchIter {

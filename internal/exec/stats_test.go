@@ -28,23 +28,28 @@ func intTable(n int) []types.Tuple {
 	return rows
 }
 
-// TestNilCollectorNoWrappers pins the disabled-stats contract: Run must
-// build the exact iterator tree it built before instrumentation existed.
+// TestNilCollectorNoWrappers pins the disabled-stats contract: without a
+// collector, Run builds the bare batch pipeline with no instrumentation
+// wrappers between its operators.
 func TestNilCollectorNoWrappers(t *testing.T) {
 	env := newMockEnv()
 	env.tables["t"] = intTable(4)
 	cols := []plan.ColInfo{{Rel: "t", Name: "id", Kind: types.KindInt}}
-	cur, err := Run(env, filterGtNode("t", cols, 1))
+	cur, err := Run(env, filterGtNode("t", cols, 1), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cur.Close()
-	f, ok := cur.it.(*filterIter)
+	a, ok := cur.it.(*batchRowIter)
 	if !ok {
-		t.Fatalf("root iterator is %T, want *filterIter", cur.it)
+		t.Fatalf("root iterator is %T, want *batchRowIter", cur.it)
 	}
-	if _, ok := f.child.(*sliceIter); !ok {
-		t.Fatalf("filter child is %T, want *sliceIter", f.child)
+	f, ok := a.src.(*vectorFilterIter)
+	if !ok {
+		t.Fatalf("batch root is %T, want *vectorFilterIter", a.src)
+	}
+	if _, ok := f.child.(*batchScanIter); !ok {
+		t.Fatalf("filter child is %T, want *batchScanIter", f.child)
 	}
 }
 
@@ -54,7 +59,7 @@ func TestStatsCollected(t *testing.T) {
 	cols := []plan.ColInfo{{Rel: "t", Name: "id", Kind: types.KindInt}}
 	node := filterGtNode("t", cols, 2)
 	es := NewExecStats()
-	cur, err := RunWithStats(env, node, es)
+	cur, err := Run(env, node, es, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +111,7 @@ func TestMTreeScanAnalyze(t *testing.T) {
 		},
 	}
 	es := NewExecStats()
-	cur, err := RunWithStats(env, node, es)
+	cur, err := Run(env, node, es, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +151,7 @@ func TestNLJoinLoopsCounted(t *testing.T) {
 		Cols:     append(append([]plan.ColInfo{}, aCols...), bCols...),
 	}
 	es := NewExecStats()
-	cur, err := RunWithStats(env, node, es)
+	cur, err := Run(env, node, es, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,24 +178,47 @@ func TestNLJoinLoopsCounted(t *testing.T) {
 	}
 }
 
+// replayBatchIter hands out pre-decoded rows in one pooled batch per drain;
+// clearing done starts the next drain.
+type replayBatchIter struct {
+	ev   *evaluator
+	rows []types.Tuple
+	done bool
+}
+
+func (r *replayBatchIter) NextBatch() (*Batch, error) {
+	if r.done {
+		return nil, nil
+	}
+	r.done = true
+	b := r.ev.getBatch()
+	b.Rows = append(b.Rows, r.rows...)
+	return b, nil
+}
+
+func (r *replayBatchIter) Close() error { return nil }
+
 // TestDisabledStatsZeroAllocations guards the hot path: iterating a plan
-// built without a collector must not allocate per row.
+// built without a collector must not allocate per row. The scan is swapped
+// for a replay of pre-decoded rows, so the drain measures the filter and
+// the row adapter alone.
 func TestDisabledStatsZeroAllocations(t *testing.T) {
 	env := newMockEnv()
 	env.tables["t"] = intTable(64)
 	cols := []plan.ColInfo{{Rel: "t", Name: "id", Kind: types.KindInt}}
 	node := filterGtNode("t", cols, 31)
-	cur, err := Run(env, node)
+	cur, err := Run(env, node, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cur.Close()
-	f := cur.it.(*filterIter)
-	si := f.child.(*sliceIter)
+	a := cur.it.(*batchRowIter)
+	src := &replayBatchIter{ev: a.ev, rows: intTable(64)}
+	a.src.(*vectorFilterIter).child = src
 	allocs := testing.AllocsPerRun(100, func() {
-		si.pos = 0
+		src.done, a.done = false, false
 		for {
-			_, ok, err := f.Next()
+			_, ok, err := a.Next()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,7 +248,7 @@ func benchmarkNext(b *testing.B, es *ExecStats) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cur, err := RunWithStats(env, node, es)
+		cur, err := Run(env, node, es, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -241,7 +241,7 @@ func (c *cancelIter) Next() (Tuple, bool, error) {
 }
 func (c *cancelIter) Close() error { return c.child.Close() }
 
-// governedBuildClosesOnError is the exec.RunGoverned shape: the child is
+// governedBuildClosesOnError is a governed-build shape: the child is
 // built first, and if the pre-run checkpoint already fails, the child is
 // closed before the error escapes.
 func governedBuildClosesOnError(res *resources) (*cancelIter, error) {

@@ -28,10 +28,10 @@ func shardRewrite(n *Node, shards []string) *Node {
 	if n == nil || n.Op == OpRemote || n.Op == OpGather {
 		return n
 	}
-	// Aggregate split: COUNT/SUM/MIN/MAX over a pushable input become a
-	// per-shard partial aggregate plus a coordinator merge. AVG (and any
-	// future non-decomposable aggregate) keeps the aggregation at the
-	// coordinator and only remotes the input below it.
+	// Aggregate split: COUNT/MIN/MAX and INT SUM over a pushable input
+	// become a per-shard partial aggregate plus a coordinator merge. AVG,
+	// FLOAT SUM (and any future non-decomposable aggregate) keep the
+	// aggregation at the coordinator and only remote the input below it.
 	if n.Op == OpAggregate && touchesTable(n.Children[0]) && pushable(n.Children[0]) && splittableAggs(n.Aggs) {
 		return splitAggregate(n, shards)
 	}
@@ -75,10 +75,20 @@ func touchesTable(n *Node) bool {
 	return false
 }
 
+// splittableAggs reports whether every aggregate merges from per-shard
+// partials to the single-node answer bit for bit. SUM qualifies only over
+// INT arguments: each shard's partial is then an exactly represented
+// integer (below 2^53), and the executor's exact sum of the partials rounds
+// like the single-node sum. A FLOAT partial is already rounded, so a SUM
+// over FLOAT stays at the coordinator, like AVG.
 func splittableAggs(aggs []AggSpec) bool {
 	for _, a := range aggs {
 		switch a.Kind {
-		case sql.FuncCount, sql.FuncSum, sql.FuncMin, sql.FuncMax:
+		case sql.FuncCount, sql.FuncMin, sql.FuncMax:
+		case sql.FuncSum:
+			if ExprKind(a.Arg) != types.KindInt {
+				return false
+			}
 		default:
 			return false
 		}
@@ -218,7 +228,7 @@ func aggOutKind(a AggSpec) types.Kind {
 // clearParallel strips Parallelize markings from a subtree about to be
 // serialized: the shard runs its own Parallelize pass over the decoded
 // fragment, and a stale Parallel flag outside a Gather would make the
-// row-scan builder look for a worker context that does not exist.
+// scan builder look for a worker context that does not exist.
 func clearParallel(n *Node) {
 	if n == nil {
 		return

@@ -1,7 +1,6 @@
 package mural
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/mural-db/mural/internal/types"
@@ -37,23 +36,30 @@ func (e *Engine) ComputeClosureScan(table, idCol, parentCol string, root int64) 
 	if idIdx < 0 || parIdx < 0 {
 		return nil, fmt.Errorf("mural: table %q lacks columns %q/%q", table, idCol, parentCol)
 	}
+	e.mu.RLock()
+	h := e.heaps[table]
+	e.mu.RUnlock()
+	if h == nil {
+		return nil, fmt.Errorf("mural: no such table %q", table)
+	}
 	res := &ClosureResult{}
 	closure := map[int64]bool{root: true}
 	frontier := map[int64]bool{root: true}
 	for len(frontier) > 0 {
 		next := make(map[int64]bool)
-		it, err := e.ScanTable(table)
-		if err != nil {
-			return nil, err
-		}
+		it := h.Scan()
 		res.HeapScans++
 		for {
-			tup, ok, err := it.Next()
+			_, rec, ok, err := it.Next()
 			if err != nil {
-				return nil, errors.Join(err, it.Close())
+				return nil, err
 			}
 			if !ok {
 				break
+			}
+			tup, _, err := types.DecodeTuple(rec)
+			if err != nil {
+				return nil, err
 			}
 			p := tup[parIdx]
 			if p.IsNull() || !frontier[p.Int()] {
@@ -64,9 +70,6 @@ func (e *Engine) ComputeClosureScan(table, idCol, parentCol string, root int64) 
 				closure[id] = true
 				next[id] = true
 			}
-		}
-		if err := it.Close(); err != nil {
-			return nil, err
 		}
 		frontier = next
 	}

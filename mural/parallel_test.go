@@ -126,7 +126,9 @@ func TestExplainAnalyzeGather(t *testing.T) {
 
 // The per-query G2P memo must convert a repeated probe constant once per
 // worker, not once per row: conversions stay flat while cache hits scale
-// with the row count.
+// with the row count. The Ψ sits in a conjunction so the generic batch
+// filter evaluates it per row through the memo; a bare Ψ selection compiles
+// its probe once into the fused kernel and never consults the memo.
 func TestPsiSelectionMemoizesProbeConversions(t *testing.T) {
 	e, err := Open(Config{Workers: 2})
 	if err != nil {
@@ -138,8 +140,11 @@ func TestPsiSelectionMemoizesProbeConversions(t *testing.T) {
 
 	counter := func(s metrics.Snapshot, name string) int64 { return s.Counters[name] }
 	before := metrics.Default.Snapshot()
-	e.MustExec(psiNamesQuery)
+	res := e.MustExec(psiNamesQuery + ` AND id >= 0`)
 	after := metrics.Default.Snapshot()
+	if !strings.Contains(res.Plan, "Gather") || !strings.Contains(res.Plan, "AND") {
+		t.Fatalf("want a Gather over one conjunctive Ψ filter:\n%s", res.Plan)
+	}
 
 	conv := counter(after, "mural_g2p_conversions_total") - counter(before, "mural_g2p_conversions_total")
 	hits := counter(after, "mural_g2p_cache_hits_total") - counter(before, "mural_g2p_cache_hits_total")
