@@ -1,39 +1,16 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
-	"time"
 
 	"github.com/mural-db/mural/internal/bench"
 )
 
-// shardPoint is one row of the scale-out sweep in BENCH_PR10.json.
-type shardPoint struct {
-	Shards     int     `json:"shards"`
-	MeanMillis float64 `json:"mean_ms"`
-	Speedup    float64 `json:"speedup_vs_single"`
-	Matches    int64   `json:"matches"`
-}
-
-// shardSnapshot is the machine-readable record of the scale-out experiment
-// (BENCH_PR10.json): the Ψ count workload on a single node and on local
-// shard clusters, with the identical-answers assertion already enforced by
-// bench.RunShard. CPUs records the cores of the snapshot machine — local
-// shards share one box, so a 1-core runner legitimately shows ~1x.
-type shardSnapshot struct {
-	GeneratedAt string       `json:"generated_at"`
-	Seed        int64        `json:"seed"`
-	CPUs        int          `json:"cpus"`
-	Names       int          `json:"names"`
-	Points      []shardPoint `json:"points"`
-}
-
-// runShardExp measures the sharded Ψ scan at 1/2/4 local shard processes,
-// prints the speedup table, and writes the JSON snapshot to out.
-func runShardExp(names int, seed int64, out string) error {
+// runShardExp measures the sharded Ψ scan at 1/2/4 local shard processes
+// and prints the speedup table. Local shards share one box, so a 1-core
+// machine legitimately shows ~1x.
+func runShardExp(names int, seed int64) error {
 	fmt.Printf("Sharded Ψ scan — %d names over 1/2/4 local shard processes (%d cores)\n\n",
 		names, runtime.NumCPU())
 	rows, err := bench.RunShard(bench.ShardConfig{Names: names, Threshold: 3, Queries: 5, Seed: seed})
@@ -45,23 +22,5 @@ func runShardExp(names int, seed int64, out string) error {
 		fmt.Printf("%-8d %12.2f %9.2fx %10d\n", r.Shards, r.MeanMillis, r.Speedup, r.Matches)
 	}
 	fmt.Println("\nidentical answers across all shard counts: yes (asserted per run)")
-
-	snap := shardSnapshot{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Seed:        seed,
-		CPUs:        runtime.NumCPU(),
-		Names:       names,
-	}
-	for _, r := range rows {
-		snap.Points = append(snap.Points, shardPoint{r.Shards, r.MeanMillis, r.Speedup, r.Matches})
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
 	return nil
 }

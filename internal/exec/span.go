@@ -25,6 +25,14 @@ type Span struct {
 	DurNs int64
 	Rows  int64
 	Loops int64
+	// PeakMem, CacheHits, CacheMisses and Err describe the statement's
+	// outcome on the query root span: peak governed memory in bytes, shared
+	// cache hits and misses during the statement, and the error text (empty
+	// on success).
+	PeakMem     int64
+	CacheHits   int64
+	CacheMisses int64
+	Err         string
 }
 
 // BuildSpans flattens the measured plan tree into operator spans with

@@ -189,9 +189,14 @@ func TestFeedbackConcurrent(t *testing.T) {
 	}
 }
 
+// rootName carries a control character: statement text is arbitrary
+// bytes, and the export must stay valid JSON.
+const rootName = "select '\x01\"'"
+
 func spanTree(traceID uint64) []exec.Span {
 	return []exec.Span{
-		{TraceID: traceID, SpanID: 1, ParentID: 0, Kind: "query", Name: "select 1", StartNs: 1000, DurNs: 5000, Rows: 1},
+		{TraceID: traceID, SpanID: 1, ParentID: 0, Kind: "query", Name: rootName, StartNs: 1000, DurNs: 5000, Rows: 1,
+			PeakMem: 4096, CacheHits: 2, CacheMisses: 1, Err: "boom\n"},
 		{TraceID: traceID, SpanID: 2, ParentID: 1, Kind: "plan", Name: "parse+plan", StartNs: 1000, DurNs: 2000},
 		{TraceID: traceID, SpanID: 3, ParentID: 1, Kind: "operator", Name: "SeqScan t", StartNs: 3000, DurNs: 2500, Rows: 1, Loops: 1},
 	}
@@ -214,6 +219,18 @@ func TestTraceWriterJSONL(t *testing.T) {
 	if rec["trace_id"] != "00abcdef12345678" || rec["kind"] != "operator" || rec["parent_id"] != float64(1) {
 		t.Fatalf("bad record: %v", rec)
 	}
+	if _, ok := rec["peak_mem_bytes"]; ok {
+		t.Errorf("operator span carries statement outcome fields: %v", rec)
+	}
+	// The query root carries the statement's outcome.
+	rec = nil
+	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
+		t.Fatalf("root line not JSON: %v\n%s", err, lines[0])
+	}
+	if rec["name"] != rootName || rec["peak_mem_bytes"] != float64(4096) || rec["cache_hits"] != float64(2) ||
+		rec["cache_misses"] != float64(1) || rec["err"] != "boom\n" {
+		t.Fatalf("bad root record: %v", rec)
+	}
 }
 
 func TestTraceWriterChrome(t *testing.T) {
@@ -234,6 +251,9 @@ func TestTraceWriterChrome(t *testing.T) {
 	}
 	if len(events) != 3 || events[0]["ph"] != "X" || events[2]["name"] != "SeqScan t" {
 		t.Fatalf("bad events: %v", events)
+	}
+	if args := events[0]["args"].(map[string]any); events[0]["name"] != rootName || args["peak_mem_bytes"] != float64(4096) || args["err"] != "boom\n" {
+		t.Fatalf("bad root event: %v", events[0])
 	}
 	if events[2]["dur"] != 2.5 { // 2500ns = 2.5µs
 		t.Fatalf("dur not microseconds: %v", events[2]["dur"])

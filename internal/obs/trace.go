@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -55,7 +56,8 @@ type TraceWriter struct {
 }
 
 // NewTraceWriter returns a writer exporting in format (FormatJSONL or
-// FormatChrome; unknown formats fall back to JSONL) sampling rate
+// FormatChrome; the caller validates, anything but FormatChrome writes
+// JSONL) sampling rate
 // (0 < rate <= 1) of untagged queries. Rate <= 0 disables sampling, so
 // only explicitly tagged queries export.
 func NewTraceWriter(w io.Writer, format string, rate float64) *TraceWriter {
@@ -123,18 +125,46 @@ func (t *TraceWriter) WriteSpans(spans []exec.Span) error {
 }
 
 func appendJSONLSpan(buf []byte, s exec.Span) []byte {
-	buf = append(buf, fmt.Sprintf(
-		`{"trace_id":"%016x","span_id":%d,"parent_id":%d,"kind":%q,"name":%q,"start_ns":%d,"dur_ns":%d,"rows":%d,"loops":%d}`,
-		s.TraceID, s.SpanID, s.ParentID, s.Kind, s.Name, s.StartNs, s.DurNs, s.Rows, s.Loops)...)
-	return append(buf, '\n')
+	buf = fmt.Appendf(buf, `{"trace_id":"%016x","span_id":%d,"parent_id":%d,"kind":`, s.TraceID, s.SpanID, s.ParentID)
+	buf = appendJSONString(buf, s.Kind)
+	buf = append(buf, `,"name":`...)
+	buf = appendJSONString(buf, s.Name)
+	buf = fmt.Appendf(buf, `,"start_ns":%d,"dur_ns":%d,"rows":%d,"loops":%d`, s.StartNs, s.DurNs, s.Rows, s.Loops)
+	buf = appendOutcome(buf, s)
+	return append(buf, "}\n"...)
 }
 
 func appendChromeEvent(buf []byte, s exec.Span) []byte {
 	// Complete ("X") events; ts/dur are microseconds. The trace ID becomes
 	// the tid so one query's spans group into one timeline row set.
-	buf = append(buf, fmt.Sprintf(
-		`{"name":%q,"cat":%q,"ph":"X","ts":%.3f,"dur":%.3f,"pid":1,"tid":%d,"args":{"trace_id":"%016x","span_id":%d,"parent_id":%d,"rows":%d,"loops":%d}},`,
-		s.Name, s.Kind, float64(s.StartNs)/1e3, float64(s.DurNs)/1e3,
-		s.TraceID%1_000_000, s.TraceID, s.SpanID, s.ParentID, s.Rows, s.Loops)...)
-	return append(buf, '\n')
+	buf = append(buf, `{"name":`...)
+	buf = appendJSONString(buf, s.Name)
+	buf = append(buf, `,"cat":`...)
+	buf = appendJSONString(buf, s.Kind)
+	buf = fmt.Appendf(buf, `,"ph":"X","ts":%.3f,"dur":%.3f,"pid":1,"tid":%d,"args":{"trace_id":"%016x","span_id":%d,"parent_id":%d,"rows":%d,"loops":%d`,
+		float64(s.StartNs)/1e3, float64(s.DurNs)/1e3,
+		s.TraceID%1_000_000, s.TraceID, s.SpanID, s.ParentID, s.Rows, s.Loops)
+	buf = appendOutcome(buf, s)
+	return append(buf, "}},\n"...)
+}
+
+// appendOutcome adds the statement outcome fields a query root span carries.
+func appendOutcome(buf []byte, s exec.Span) []byte {
+	if s.Kind != "query" {
+		return buf
+	}
+	buf = fmt.Appendf(buf, `,"peak_mem_bytes":%d,"cache_hits":%d,"cache_misses":%d`, s.PeakMem, s.CacheHits, s.CacheMisses)
+	if s.Err != "" {
+		buf = append(buf, `,"err":`...)
+		buf = appendJSONString(buf, s.Err)
+	}
+	return buf
+}
+
+// appendJSONString appends v as a JSON string literal. Statement text and
+// error messages are arbitrary bytes, which Go's %q would escape in ways
+// JSON does not accept (\x01).
+func appendJSONString(buf []byte, v string) []byte {
+	b, _ := json.Marshal(v)
+	return append(buf, b...)
 }

@@ -453,10 +453,9 @@ func (s *Server) dispatch(w io.Writer, sess *session, typ wire.MsgType, payload 
 			return wire.Write(w, wire.MsgErr, wire.EncodeErr(wire.ErrCodeShutdown, "server: shutting down"))
 		}
 		q := string(payload)
-		stmt, err := sql.Parse(q)
-		if err != nil {
-			return sendErr(err)
-		}
+		// A statement that does not parse takes the ExecContext path below,
+		// which reports the parse error and observes the statement.
+		stmt, _ := sql.Parse(q)
 		// The query context outlives this dispatch: it governs every later
 		// fetch on the cursor, so it is canceled at cursor close, not here.
 		ctx, cancel := context.WithCancel(sess.stmtCtx(s.baseCtx))
@@ -477,6 +476,7 @@ func (s *Server) dispatch(w io.Writer, sess *session, typ wire.MsgType, payload 
 			// their materialized output through the cursor protocol.
 			rows = mural.StaticRows(res.Cols, res.Rows)
 		} else {
+			var err error
 			rows, err = s.eng.QueryContext(ctx, q)
 			done()
 			if err != nil {

@@ -326,6 +326,26 @@ func TestSemScanUDF(t *testing.T) {
 	}
 }
 
+// TestWireStatementsObserved: a wire query that fails to parse or to plan
+// is observed by the engine like an in-process one.
+func TestWireStatementsObserved(t *testing.T) {
+	eng, conn := startServer(t)
+	for _, q := range []string{`SELEC id FROM nowhere`, `SELECT id FROM nowhere`} {
+		if _, err := conn.Query(q); err == nil {
+			t.Fatalf("%s: want an error", q)
+		}
+	}
+	calls := map[string]int64{}
+	for _, r := range eng.Statements() {
+		calls[r.Query] = r.Calls
+	}
+	for _, fp := range []string{"selec id from nowhere", "select id from nowhere"} {
+		if calls[fp] != 1 {
+			t.Errorf("statement %q calls = %d, want 1 (have %v)", fp, calls[fp], calls)
+		}
+	}
+}
+
 // TestPanicKillsConnectionNotServer registers an operator that panics and
 // drives it through a query: the connection must get an error and die, the
 // server process and other connections must survive.

@@ -174,13 +174,14 @@ func (e *Engine) feedbackGen() uint64 {
 
 // cacheTotals sums hit/miss counters across every shared cache; observe
 // subtracts two snapshots for the per-statement deltas reported by SHOW
-// STATEMENTS and the slow-query log.
+// STATEMENTS and the exported query span.
 type cacheTotals struct{ hits, misses int64 }
 
 // cacheBase snapshots the totals before a statement runs, or the zero value
-// when statement statistics are disabled (skipping the snapshot cost).
+// when neither statement statistics nor trace export is on (skipping the
+// snapshot cost).
 func (e *Engine) cacheBase() cacheTotals {
-	if e.stmts == nil {
+	if e.stmts == nil && e.traces == nil {
 		return cacheTotals{}
 	}
 	cs := e.CacheStats()

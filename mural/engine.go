@@ -2,6 +2,7 @@ package mural
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -58,15 +59,13 @@ type Config struct {
 	DiskWrap func(name string, d storage.Disk) storage.Disk
 	// WALWrap, when set, wraps the write-ahead log device the same way.
 	WALWrap func(f storage.LogFile) storage.LogFile
-	// SlowQueryThreshold enables the slow-query log: statements that take
-	// at least this long are written to SlowQueryLog as one JSON line each.
-	// Zero disables logging.
+	// SlowQueryThreshold exports every statement that takes at least this
+	// long to TraceSink, sampled or not: its root query span carries the
+	// elapsed time, rows, peak governed memory, cache hits and misses and
+	// error. Zero disables slow-statement export.
 	SlowQueryThreshold time.Duration
-	// SlowQueryLog receives slow-query lines (required for the threshold to
-	// have any effect; os.Stderr is a reasonable choice).
-	SlowQueryLog io.Writer
-	// Tracer, when set, receives query lifecycle callbacks (and per-operator
-	// spans for EXPLAIN ANALYZE executions).
+	// Tracer, when set, receives one QueryEnd callback per finished
+	// statement.
 	Tracer exec.Tracer
 	// Workers caps intra-query parallelism: eligible plan subtrees run
 	// under a Gather exchange over up to this many goroutines. Zero
@@ -111,11 +110,12 @@ type Config struct {
 	// cell before the planner trusts it over the histogram estimate
 	// (default 1: a single completed run already beats an approximation).
 	FeedbackMinObs int
-	// TraceSink receives exported query span trees; nil disables tracing.
+	// TraceSink receives exported query span trees — sampled, client-tagged
+	// and slow statements; nil disables export.
 	TraceSink io.Writer
 	// TraceFormat selects the trace encoding: "jsonl" (default, one JSON
 	// object per span per line) or "chrome" (trace-event JSON for
-	// chrome://tracing and Perfetto).
+	// chrome://tracing and Perfetto). Open rejects any other value.
 	TraceFormat string
 	// TraceSampleRate is the fraction of untagged statements to trace
 	// (systematic 1-in-N sampling, deterministic). Statements carrying a
@@ -155,8 +155,6 @@ type Engine struct {
 	// WALDisabled); recovery reports what replay did at Open.
 	wal      *storage.WAL
 	recovery RecoveryStats
-	// slowMu serializes slow-query log writes.
-	slowMu sync.Mutex
 	// plans and g2p are the engine-lifetime shared caches (nil when
 	// disabled): parsed SELECT plans keyed by SQL text + catalog version,
 	// and G2P conversions shared across every session's per-query memo.
@@ -203,6 +201,9 @@ type Engine struct {
 
 // Open opens (or creates) a database.
 func Open(cfg Config) (*Engine, error) {
+	if f := cfg.TraceFormat; f != "" && f != obs.FormatJSONL && f != obs.FormatChrome {
+		return nil, fmt.Errorf("mural: unknown TraceFormat %q (want %q or %q)", f, obs.FormatJSONL, obs.FormatChrome)
+	}
 	if cfg.BufferPages <= 0 {
 		cfg.BufferPages = 4096
 	}
@@ -282,11 +283,7 @@ func Open(cfg Config) (*Engine, error) {
 		e.fb = obs.NewFeedback(n, cfg.FeedbackMinObs)
 	}
 	if cfg.TraceSink != nil {
-		format := cfg.TraceFormat
-		if format == "" {
-			format = obs.FormatJSONL
-		}
-		e.traces = obs.NewTraceWriter(cfg.TraceSink, format, cfg.TraceSampleRate)
+		e.traces = obs.NewTraceWriter(cfg.TraceSink, cfg.TraceFormat, cfg.TraceSampleRate)
 	}
 	if wal != nil {
 		wal.SetCommitDelay(cfg.CommitDelay)
@@ -505,9 +502,9 @@ func (e *Engine) MustExec(q string) *Result {
 }
 
 // Exec parses and runs one statement, materializing the result. Every call
-// is observed: engine query counters and the latency histogram always
-// update, statements slower than Config.SlowQueryThreshold are logged, and
-// the configured Tracer sees start/end events.
+// is observed exactly once, whichever way it ends: the engine query counters
+// and latency histogram, SHOW STATEMENTS, the trace sink (sampled,
+// client-tagged and slow statements) and the configured Tracer's QueryEnd.
 func (e *Engine) Exec(q string) (*Result, error) {
 	return e.ExecContext(context.Background(), q)
 }
@@ -516,49 +513,40 @@ func (e *Engine) Exec(q string) (*Result, error) {
 // fires are observed at the executor's amortized checkpoints and surface as
 // ErrCanceled / ErrQueryTimeout. The statement also runs under the engine's
 // admission control and the configured per-query deadline and memory
-// ceiling (Config or session settings).
+// ceiling (Config or session settings). A SELECT runs exactly as Query
+// would and is drained into the Result.
 func (e *Engine) ExecContext(ctx context.Context, q string) (*Result, error) {
-	if tr := e.cfg.Tracer; tr != nil {
-		tr.QueryStart(q)
-	}
-	base := e.cacheBase()
-	start := time.Now()
-	res, peak, err := e.execGoverned(ctx, q)
-	var rows int64
-	if res != nil {
-		rows = int64(len(res.Rows)) + res.RowsAffected
-	}
-	e.observe(ctx, q, rows, time.Since(start), err, peak, base)
-	return res, err
-}
-
-// execGoverned claims an admission slot and governance state, runs the
-// statement, and accounts a governed termination in the metrics. The second
-// return value is the statement's peak governed memory (0 when ungoverned).
-func (e *Engine) execGoverned(ctx context.Context, q string) (*Result, int64, error) {
-	release, err := e.admit()
+	s := e.newStatement(ctx, q)
+	defer s.unwind()
+	stmt, err := sql.Parse(q)
 	if err != nil {
-		return nil, 0, err
+		return nil, s.finish(0, false, err)
 	}
-	defer release()
-	res, stop := e.queryResources(ctx)
-	defer stop()
-	result, err := e.exec(ctx, q, res)
-	noteGovernedErr(err)
-	return result, res.PeakBytes(), err
+	if sel, ok := stmt.(*sql.Select); ok {
+		rows, err := s.query(sel)
+		if err != nil {
+			return nil, err
+		}
+		return rows.result()
+	}
+	if err := s.govern(); err != nil {
+		return nil, s.finish(0, false, err)
+	}
+	res, err := e.exec(stmt, q, s.res)
+	var n int64
+	if res != nil {
+		n = int64(len(res.Rows)) + res.RowsAffected
+	}
+	return res, s.finish(n, err == nil, err)
 }
 
-func (e *Engine) exec(ctx context.Context, q string, res *exec.Resources) (*Result, error) {
+// exec runs one parsed statement other than SELECT.
+func (e *Engine) exec(stmt sql.Statement, q string, res *exec.Resources) (*Result, error) {
 	if err := res.Err(); err != nil {
 		return nil, err
 	}
-	stmt, err := sql.Parse(q)
-	if err != nil {
-		return nil, err
-	}
 	// Under a shard map, writes and schema changes involve the shard peers
-	// (INSERT hash-routes, DDL and DELETE broadcast); SELECT falls through —
-	// the planner rewrites it into remote fragments instead.
+	// (INSERT hash-routes, DDL and DELETE broadcast).
 	if shards := e.shardAddrs(); shards != nil {
 		if handled, result, err := e.shardExec(stmt, q, shards, res); handled {
 			return result, err
@@ -598,8 +586,6 @@ func (e *Engine) exec(ctx context.Context, q string, res *exec.Resources) (*Resu
 		return res, nil
 	case *sql.Explain:
 		return e.execExplain(s, res)
-	case *sql.Select:
-		return e.execSelect(ctx, q, s, res)
 	default:
 		return nil, fmt.Errorf("mural: unsupported statement %T", stmt)
 	}
@@ -610,17 +596,8 @@ func (e *Engine) exec(ctx context.Context, q string, res *exec.Resources) (*Resu
 type Rows struct {
 	Cols   []string
 	cursor *exec.Cursor
-	// done releases per-query state (admission slot, deadline timer); Close
-	// calls it exactly once.
-	done func()
-	// noted guards the governed-termination metrics against double counting
-	// when Next keeps being called after a failure.
-	noted bool
-	// finish, when set, runs the end-of-statement observability work exactly
-	// once at Close: statement statistics, selectivity-feedback folding (only
-	// when the cursor drained to EOF error-free — a partial drain undercounts
-	// output rows) and span export.
-	finish func(streamed int64, eof bool, err error)
+	// stmt is the statement Close finishes (nil for StaticRows).
+	stmt *statement
 	// streamed/eof/err track what the consumer actually saw, for finish.
 	streamed int64
 	eof      bool
@@ -644,26 +621,43 @@ func (r *Rows) Next() (Tuple, bool, error) {
 		r.eof = true
 	default:
 		r.err = err
-		if !r.noted {
-			r.noted = true
-			noteGovernedErr(err)
-		}
 	}
 	return t, ok, err
 }
 
-// Close releases the cursor and the query's admission slot.
+// Close releases the cursor and finishes the statement: its admission slot
+// and governance state are released and it is observed.
 func (r *Rows) Close() error {
 	err := r.cursor.Close()
-	if r.done != nil {
-		r.done()
-		r.done = nil
-	}
-	if r.finish != nil {
-		r.finish(r.streamed, r.eof, r.err)
-		r.finish = nil
+	if r.stmt != nil {
+		_ = r.stmt.finish(r.streamed, r.eof, errors.Join(r.err, err)) // finish hands back the error it was given
 	}
 	return err
+}
+
+// result drains and closes a SELECT started by ExecContext.
+func (r *Rows) result() (*Result, error) {
+	var out []Tuple
+	for {
+		t, ok, err := r.Next()
+		if err != nil || !ok {
+			break
+		}
+		out = append(out, t)
+	}
+	s := r.stmt
+	elapsed := time.Since(s.runStart)
+	if err := errors.Join(r.err, r.Close()); err != nil {
+		return nil, err
+	}
+	return &Result{
+		Cols:     r.Cols,
+		Rows:     out,
+		Plan:     plan.Format(s.node),
+		PlanCost: s.node.EstCost,
+		Elapsed:  elapsed,
+		Stats:    *r.cursor.Stats,
+	}, nil
 }
 
 // Query plans and starts a SELECT, returning a streaming cursor.
@@ -674,53 +668,20 @@ func (e *Engine) Query(q string) (*Rows, error) {
 // QueryContext is Query under a caller context. The cursor holds its
 // admission slot and governance state until Close; canceling ctx (or hitting
 // the configured deadline or memory ceiling) fails subsequent Next calls
-// with the typed error.
+// with the typed error. The statement is observed once, at Close or at the
+// failure that ends it early.
 func (e *Engine) QueryContext(ctx context.Context, q string) (*Rows, error) {
-	base := e.cacheBase()
-	start := time.Now()
+	s := e.newStatement(ctx, q)
+	defer s.unwind()
 	stmt, err := sql.Parse(q)
 	if err != nil {
-		return nil, err
+		return nil, s.finish(0, false, err)
 	}
 	sel, ok := stmt.(*sql.Select)
 	if !ok {
-		return nil, fmt.Errorf("mural: Query requires a SELECT statement")
+		return nil, s.finish(0, false, fmt.Errorf("mural: Query requires a SELECT statement"))
 	}
-	node, err := e.planSelectCached(q, sel)
-	if err != nil {
-		return nil, err
-	}
-	planDur := time.Since(start)
-	release, err := e.admit()
-	if err != nil {
-		return nil, err
-	}
-	res, stop := e.queryResources(ctx)
-	done := func() {
-		stop()
-		release()
-	}
-	es, traceID, sampled := e.armCollector(ctx, res, node)
-	cur, err := exec.Run(e, node, es, res)
-	if err != nil {
-		peak := res.PeakBytes()
-		done()
-		noteGovernedErr(err)
-		e.observe(ctx, q, 0, time.Since(start), err, peak, base)
-		return nil, err
-	}
-	r := &Rows{Cols: cur.Cols, cursor: cur, done: done}
-	r.finish = func(streamed int64, eof bool, ferr error) {
-		elapsed := time.Since(start)
-		if eof && ferr == nil {
-			e.foldFeedback(node, es, res)
-		}
-		if sampled {
-			e.exportTrace(q, traceID, start, planDur, elapsed-planDur, streamed, node, es)
-		}
-		e.observe(ctx, q, streamed, elapsed, ferr, res.PeakBytes(), base)
-	}
-	return r, nil
+	return s.query(sel)
 }
 
 // planner assembles a Planner with the current optimizer settings.
@@ -800,38 +761,6 @@ func (e *Engine) planSelectCached(q string, sel *sql.Select) (*plan.Node, error)
 	return node, nil
 }
 
-func (e *Engine) execSelect(ctx context.Context, q string, sel *sql.Select, res *exec.Resources) (*Result, error) {
-	planStart := time.Now()
-	node, err := e.planSelectCached(q, sel)
-	if err != nil {
-		return nil, err
-	}
-	planDur := time.Since(planStart)
-	es, traceID, sampled := e.armCollector(ctx, res, node)
-	start := time.Now()
-	cur, err := exec.Run(e, node, es, res)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := cur.All()
-	if err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-	e.foldFeedback(node, es, res)
-	if sampled {
-		e.exportTrace(q, traceID, planStart, planDur, elapsed, int64(len(rows)), node, es)
-	}
-	return &Result{
-		Cols:     cur.Cols,
-		Rows:     rows,
-		Plan:     plan.Format(node),
-		PlanCost: node.EstCost,
-		Elapsed:  elapsed,
-		Stats:    *cur.Stats,
-	}, nil
-}
-
 func (e *Engine) execExplain(s *sql.Explain, qres *exec.Resources) (*Result, error) {
 	node, err := e.planSelect(s.Stmt)
 	if err != nil {
@@ -863,9 +792,6 @@ func (e *Engine) execExplain(s *sql.Explain, qres *exec.Resources) (*Result, err
 		res.Plan += fmt.Sprintf("Caches: g2p=%d/%d plan=%d/%d closure=%d/%d (hits/misses, engine lifetime)\n",
 			cs.G2P.Hits, cs.G2P.Misses, cs.Plan.Hits, cs.Plan.Misses, cs.Closure.Hits, cs.Closure.Misses)
 		res.Plan += fmt.Sprintf("Memory: peak=%d bytes accounted\n", qres.PeakBytes())
-		if tr := e.cfg.Tracer; tr != nil {
-			es.EmitSpans(node, tr)
-		}
 	} else {
 		res.Plan = plan.Format(node)
 	}

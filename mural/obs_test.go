@@ -95,9 +95,12 @@ func TestShowStatementsDisabled(t *testing.T) {
 	}
 }
 
-func TestSlowQueryLogEnriched(t *testing.T) {
+// A slow statement's root span carries what a slow-query record needs:
+// elapsed time, rows, peak governed memory, cache hits and misses, the trace
+// ID and the error.
+func TestSlowStatementSpanEnriched(t *testing.T) {
 	var buf bytes.Buffer
-	e, err := Open(Config{SlowQueryThreshold: time.Nanosecond, SlowQueryLog: &buf})
+	e, err := Open(Config{SlowQueryThreshold: time.Nanosecond, TraceSink: &buf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +110,9 @@ func TestSlowQueryLogEnriched(t *testing.T) {
 	// Governed execution (session timeout) so the sort's memory is accounted.
 	e.MustExec(`SET statement_timeout = 600000`)
 	e.MustExec(`SELECT * FROM tt ORDER BY x`)
-	var rec slowQueryRecord
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Query != `SELECT * FROM tt ORDER BY x` || rec.Rows != 3 {
+	spans := querySpans(t, buf.String())
+	rec := spans[len(spans)-1]
+	if rec.Name != `SELECT * FROM tt ORDER BY x` || rec.Rows != 3 || rec.DurNs <= 0 || rec.Err != "" {
 		t.Fatalf("bad record: %+v", rec)
 	}
 	if rec.PeakMem <= 0 {
@@ -121,6 +121,23 @@ func TestSlowQueryLogEnriched(t *testing.T) {
 	// The statement was planned fresh: at least one plan-cache miss.
 	if rec.CacheMisses <= 0 {
 		t.Errorf("cache_misses = %d, want > 0", rec.CacheMisses)
+	}
+	// Run again: the plan now comes from the cache.
+	e.MustExec(`SELECT * FROM tt ORDER BY x`)
+	spans = querySpans(t, buf.String())
+	if rec := spans[len(spans)-1]; rec.CacheHits <= 0 {
+		t.Errorf("cache_hits = %d on a warm plan cache, want > 0", rec.CacheHits)
+	}
+	// A failing, client-tagged statement: the span names its error and
+	// carries the client's trace ID.
+	buf.Reset()
+	ctx := obs.WithTraceID(context.Background(), 0x5107)
+	if _, err := e.ExecContext(ctx, `SELECT * FROM nosuch`); err == nil {
+		t.Fatal("SELECT from a missing table succeeded")
+	}
+	spans = querySpans(t, buf.String())
+	if len(spans) != 1 || spans[0].Err == "" || spans[0].TraceID != "0000000000005107" {
+		t.Errorf("failed statement span = %+v, want one root span with err and trace_id 0000000000005107", spans)
 	}
 }
 
@@ -241,6 +258,30 @@ func TestTraceChromeFormat(t *testing.T) {
 	}
 	if !strings.Contains(out, `"ph":"X"`) {
 		t.Errorf("no complete events in chrome trace:\n%s", out)
+	}
+}
+
+// Open accepts only the trace formats the writer implements: a typo must
+// fail loudly instead of silently exporting JSONL.
+func TestTraceFormatRejected(t *testing.T) {
+	for _, f := range []string{"", "jsonl", "chrome"} {
+		e, err := Open(Config{TraceSink: &bytes.Buffer{}, TraceFormat: f})
+		if err != nil {
+			t.Errorf("TraceFormat %q: %v", f, err)
+			continue
+		}
+		e.Close()
+	}
+	for _, f := range []string{"chrom", "JSONL", "otlp"} {
+		if e, err := Open(Config{TraceSink: &bytes.Buffer{}, TraceFormat: f}); err == nil {
+			e.Close()
+			t.Errorf("TraceFormat %q accepted, want an error", f)
+		}
+	}
+	// The format is checked even with no sink configured.
+	if e, err := Open(Config{TraceFormat: "chrom"}); err == nil {
+		e.Close()
+		t.Error("TraceFormat \"chrom\" accepted without a sink, want an error")
 	}
 }
 

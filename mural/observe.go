@@ -2,7 +2,6 @@ package mural
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -10,6 +9,7 @@ import (
 	"github.com/mural-db/mural/internal/metrics"
 	"github.com/mural-db/mural/internal/obs"
 	"github.com/mural-db/mural/internal/plan"
+	"github.com/mural-db/mural/internal/sql"
 	"github.com/mural-db/mural/internal/types"
 )
 
@@ -47,34 +47,145 @@ func publishRecoveryStats(rs RecoveryStats) {
 	reg.Gauge("mural_recovery_catalog_restored").Set(restored)
 }
 
-// slowQueryRecord is one line of the structured slow-query log.
-type slowQueryRecord struct {
-	TS          string  `json:"ts"`
-	Query       string  `json:"query"`
-	ElapsedMS   float64 `json:"elapsed_ms"`
-	Rows        int64   `json:"rows"`
-	PeakMem     int64   `json:"peak_mem_bytes"`
-	CacheHits   int64   `json:"cache_hits"`
-	CacheMisses int64   `json:"cache_misses"`
-	TraceID     string  `json:"trace_id,omitempty"`
-	Err         string  `json:"err,omitempty"`
+// statement is one statement's lifecycle from arrival to its single exit.
+// Every exit — parse error, plan error, admission rejection, Run error,
+// mid-stream error, Close — goes through finish, which runs exactly once and
+// is the statement's one observation point.
+type statement struct {
+	e     *Engine
+	ctx   context.Context
+	q     string
+	start time.Time
+	base  cacheTotals
+	// fragment marks a plan fragment shipped by a coordinator: it is governed
+	// like any statement but stays out of statement observation.
+	fragment bool
+
+	// Filled in as the statement progresses: the plan and when it was ready,
+	// the governance state and its release, the collector armCollector chose
+	// and the trace ID it assigned, and when execution began.
+	node     *plan.Node
+	planDur  time.Duration
+	res      *exec.Resources
+	release  func()
+	es       *exec.ExecStats
+	traceID  uint64
+	sampled  bool
+	runStart time.Time
+	cursor   *exec.Cursor
+	finished bool
+}
+
+func (e *Engine) newStatement(ctx context.Context, q string) *statement {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return &statement{e: e, ctx: ctx, q: q, start: time.Now(), base: e.cacheBase()}
+}
+
+// govern claims the statement's admission slot and governance state; finish
+// releases both.
+func (s *statement) govern() error {
+	release, err := s.e.admit()
+	if err != nil {
+		return err
+	}
+	res, stop := s.e.queryResources(s.ctx)
+	s.res = res
+	s.release = func() {
+		stop()
+		release()
+	}
+	return nil
+}
+
+// query plans a parsed SELECT through the plan cache and starts it.
+func (s *statement) query(sel *sql.Select) (*Rows, error) {
+	node, err := s.e.planSelectCached(s.q, sel)
+	if err != nil {
+		return nil, s.finish(0, false, err)
+	}
+	s.planDur = time.Since(s.start)
+	return s.run(node)
+}
+
+// run admits and starts a planned SELECT or a shipped fragment; it is the
+// one place a statement's plan reaches exec.Run. The returned Rows finishes
+// the statement at Close; a failure here finishes it at once.
+func (s *statement) run(node *plan.Node) (*Rows, error) {
+	s.node = node
+	if err := s.govern(); err != nil {
+		return nil, s.finish(0, false, err)
+	}
+	if !s.fragment {
+		s.es, s.traceID, s.sampled = s.e.armCollector(s.ctx, s.res, node)
+	}
+	s.runStart = time.Now()
+	cur, err := exec.Run(s.e, node, s.es, s.res)
+	if err != nil {
+		return nil, s.finish(0, false, err)
+	}
+	s.cursor = cur
+	return &Rows{Cols: cur.Cols, cursor: cur, stmt: s}, nil
+}
+
+// unwind, deferred by each entry point, ends a statement that a panic (a
+// registered operator's, say) is unwinding past: its cursor closes, its
+// admission slot frees and it is observed as failed. The panic continues.
+func (s *statement) unwind() {
+	p := recover()
+	if p == nil {
+		return
+	}
+	if !s.finished {
+		if s.cursor != nil {
+			_ = s.cursor.Close()
+		}
+		_ = s.finish(0, false, fmt.Errorf("mural: statement panicked: %v", p))
+	}
+	panic(p)
+}
+
+// finish ends the statement exactly once: it releases the governance state,
+// counts a governed termination, folds selectivity feedback (only after a
+// full error-free drain — a partial drain undercounts output rows) and
+// observes the statement. It returns err so exits can finish and fail in
+// one step.
+func (s *statement) finish(rows int64, eof bool, err error) error {
+	if s.finished {
+		return err
+	}
+	s.finished = true
+	peak := s.res.PeakBytes()
+	if s.release != nil {
+		s.release()
+	}
+	noteGovernedErr(err)
+	if s.fragment {
+		return err
+	}
+	if eof && err == nil {
+		s.e.foldFeedback(s.node, s.es, s.res)
+	}
+	s.e.observe(s, rows, time.Since(s.start), err, peak)
+	return err
 }
 
 // observe records one finished statement: metrics, the statement statistics
-// store, the slow-query log, and the tracer's QueryEnd hook. peakMem is the
-// statement's governed memory high-water mark (0 when ungoverned); base is
-// the shared-cache counter snapshot taken before the statement started.
-func (e *Engine) observe(ctx context.Context, q string, rows int64, elapsed time.Duration, err error, peakMem int64, base cacheTotals) {
+// store, the trace export and the tracer's QueryEnd hook. The statement
+// exports when the sampler armed its collector, when it carries a client
+// trace ID, or when it took at least Config.SlowQueryThreshold; an export
+// without a collector is the root query span alone.
+func (e *Engine) observe(s *statement, rows int64, elapsed time.Duration, err error, peakMem int64) {
 	mQueries.Inc()
 	mQueryLatNs.Observe(int64(elapsed))
 	if err != nil {
 		mQueryErrors.Inc()
 	}
-	var hits, misses int64
+	now := e.cacheBase()
+	hits, misses := now.hits-s.base.hits, now.misses-s.base.misses
 	if e.stmts != nil {
-		now := e.cacheBase()
-		hits, misses = now.hits-base.hits, now.misses-base.misses
-		e.stmts.Record(obs.Fingerprint(q), obs.Observation{
+		e.stmts.Record(obs.Fingerprint(s.q), obs.Observation{
 			DurNs:       int64(elapsed),
 			Rows:        rows,
 			Err:         err != nil,
@@ -83,31 +194,40 @@ func (e *Engine) observe(ctx context.Context, q string, rows int64, elapsed time
 			CacheMisses: misses,
 		})
 	}
-	if thr := e.cfg.SlowQueryThreshold; thr > 0 && elapsed >= thr && e.cfg.SlowQueryLog != nil {
+	slow := e.cfg.SlowQueryThreshold > 0 && elapsed >= e.cfg.SlowQueryThreshold
+	if slow {
 		mSlowQueries.Inc()
-		rec := slowQueryRecord{
-			TS:          time.Now().UTC().Format(time.RFC3339Nano),
-			Query:       q,
-			ElapsedMS:   float64(elapsed) / float64(time.Millisecond),
-			Rows:        rows,
-			PeakMem:     peakMem,
-			CacheHits:   hits,
-			CacheMisses: misses,
+	}
+	tagged, isTagged := obs.TraceIDFrom(s.ctx)
+	if e.traces != nil && (s.sampled || isTagged || slow) {
+		traceID := s.traceID
+		switch {
+		case traceID != 0:
+		case isTagged:
+			traceID = tagged
+		default:
+			traceID = e.newTraceID()
 		}
-		if id, ok := obs.TraceIDFrom(ctx); ok {
-			rec.TraceID = fmt.Sprintf("%016x", id)
+		root := exec.Span{
+			TraceID: traceID, SpanID: 1, Kind: "query", Name: s.q,
+			StartNs: s.start.UnixNano(), DurNs: int64(elapsed), Rows: rows,
+			PeakMem: peakMem, CacheHits: hits, CacheMisses: misses,
 		}
 		if err != nil {
-			rec.Err = err.Error()
+			root.Err = err.Error()
 		}
-		if line, jerr := json.Marshal(rec); jerr == nil {
-			e.slowMu.Lock()
-			_, _ = e.cfg.SlowQueryLog.Write(append(line, '\n'))
-			e.slowMu.Unlock()
+		spans := []exec.Span{root}
+		if s.sampled {
+			spans = append(spans, exec.Span{
+				TraceID: traceID, SpanID: 2, ParentID: 1, Kind: "plan", Name: "parse+plan",
+				StartNs: root.StartNs, DurNs: int64(s.planDur),
+			})
+			spans = append(spans, s.es.BuildSpans(s.node, traceID, s.runStart.UnixNano(), 3, 1)...)
 		}
+		_ = e.traces.WriteSpans(spans)
 	}
 	if tr := e.cfg.Tracer; tr != nil {
-		tr.QueryEnd(q, elapsed, rows, err)
+		tr.QueryEnd(s.q, elapsed, rows, err)
 	}
 }
 
@@ -191,23 +311,6 @@ func (e *Engine) foldFeedback(node *plan.Node, es *exec.ExecStats, res *exec.Res
 	for _, o := range es.FeedbackObservations(node) {
 		e.fb.Observe(o.Kind, o.Table, o.Band, o.Sel)
 	}
-}
-
-// exportTrace writes one statement's span tree: a root query span covering
-// plan + execution, a parse+plan span, and one span per executed operator.
-func (e *Engine) exportTrace(q string, traceID uint64, start time.Time, planDur, execDur time.Duration, rows int64, node *plan.Node, es *exec.ExecStats) {
-	startNs := start.UnixNano()
-	spans := make([]exec.Span, 0, 8)
-	spans = append(spans, exec.Span{
-		TraceID: traceID, SpanID: 1, Kind: "query", Name: q,
-		StartNs: startNs, DurNs: int64(planDur + execDur), Rows: rows,
-	})
-	spans = append(spans, exec.Span{
-		TraceID: traceID, SpanID: 2, ParentID: 1, Kind: "plan", Name: "parse+plan",
-		StartNs: startNs, DurNs: int64(planDur),
-	})
-	spans = append(spans, es.BuildSpans(node, traceID, startNs+int64(planDur), 3, 1)...)
-	_ = e.traces.WriteSpans(spans)
 }
 
 // Statements snapshots the statement statistics store (nil when collection

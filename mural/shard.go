@@ -433,25 +433,12 @@ func (e *Engine) evalInsertRows(s *sql.Insert, res *exec.Resources) ([]types.Tup
 }
 
 // QueryFragment executes a decoded plan fragment shipped by a coordinator:
-// QueryContext minus parsing, planning and the plan cache. The fragment
-// re-parallelizes against this shard's own worker budget (the coordinator
-// stripped Parallel markings before serializing).
+// QueryContext minus parsing, planning and the plan cache, and outside
+// statement observation (the coordinator observes the statement). The
+// fragment re-parallelizes against this shard's own worker budget (the
+// coordinator stripped Parallel markings before serializing).
 func (e *Engine) QueryFragment(ctx context.Context, frag *plan.Node) (*Rows, error) {
-	node := plan.Parallelize(frag, e.workerCount())
-	release, err := e.admit()
-	if err != nil {
-		return nil, err
-	}
-	res, stop := e.queryResources(ctx)
-	done := func() {
-		stop()
-		release()
-	}
-	cur, err := exec.Run(e, node, nil, res)
-	if err != nil {
-		done()
-		noteGovernedErr(err)
-		return nil, err
-	}
-	return &Rows{Cols: cur.Cols, cursor: cur, done: done}, nil
+	s := &statement{e: e, ctx: ctx, fragment: true}
+	defer s.unwind()
+	return s.run(plan.Parallelize(frag, e.workerCount()))
 }
